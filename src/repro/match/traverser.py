@@ -517,6 +517,7 @@ class Traverser:
         for planner, span_id in alloc._span_records:
             planner.rem_span(span_id)
         alloc._span_records.clear()
+        self.graph.note_release(alloc.end)
         if self.on_remove is not None:
             self.on_remove(alloc)
         return alloc
@@ -571,6 +572,8 @@ class Traverser:
                 f"cannot move allocation {alloc_id} end to {new_end}: {exc}"
             ) from exc
         alloc.duration = new_end - alloc.at
+        if new_end < old_end:
+            self.graph.note_release(old_end)
         return alloc
 
     # ------------------------------------------------------------------

@@ -84,6 +84,7 @@ class RepairEngine:
         if base is None:
             return False
         self._journal_action("restore-structure", vertex=vertex.name)
+        self.sim.graph.note_release()
         vertex.size = base["size"]
         vertex.unit = base["unit"]
         vertex.rank = base["rank"]
@@ -109,6 +110,7 @@ class RepairEngine:
             "rebuild-planner", vertex=vertex.name, planner=pkind,
             spans=len(want),
         )
+        self.sim.graph.note_release()
         if pkind == "filter":
             filters = vertex.prune_filters
             if filters is None:
@@ -177,6 +179,7 @@ class RepairEngine:
         rebuilds the planner afterwards.  Returns spans actually released.
         """
         self._journal_action("release-allocation", alloc_id=alloc.alloc_id)
+        self.sim.graph.note_release(alloc.end)
         released = 0
         for planner, span_id in list(alloc._span_records):
             try:

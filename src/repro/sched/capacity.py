@@ -133,6 +133,7 @@ class CapacitySchedule:
         for planner, span_id in outage._span_records:
             planner.rem_span(span_id)
         outage._span_records.clear()
+        self.graph.note_release(outage.end)
         return outage
 
     def capacity_at(self, rtype: str, at: int) -> int:

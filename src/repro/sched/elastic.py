@@ -69,6 +69,7 @@ def grow(
     for vertex in created:
         deltas[vertex.type] = deltas.get(vertex.type, 0) + vertex.size
     _adjust_ancestor_filters(graph, parent, deltas, include_self=True)
+    graph.note_release()
     return created
 
 
@@ -118,6 +119,8 @@ def resize_pool(
     vertex.plans.resize(new_size)
     vertex.size = new_size
     _adjust_ancestor_filters(graph, vertex, {vertex.type: delta})
+    if delta > 0:
+        graph.note_release()
 
 
 def grow_job(
