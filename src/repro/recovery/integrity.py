@@ -38,11 +38,12 @@ import json
 import random
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from ..match.writer import Selection
     from ..resource import ResourceVertex
     from ..sched.simulator import ClusterSimulator
 
@@ -94,8 +95,9 @@ def structure_checksum(vertex: "ResourceVertex") -> str:
 # ----------------------------------------------------------------------
 def expected_span_table(
     sim: "ClusterSimulator",
+    vertices: Optional[Iterable["ResourceVertex"]] = None,
 ) -> Dict[Tuple[str, str], Dict[int, dict]]:
-    """Re-derive every planner's expected bookings from live allocations.
+    """Re-derive planners' expected bookings from live allocations.
 
     Returns ``{(vertex name, planner kind): {span id: expectation}}``.
     Plans/xplans expectations carry ``{"start", "end", "request"}``; filter
@@ -103,42 +105,59 @@ def expected_span_table(
     charges recomputed through :func:`~repro.match.traverser.sdfu_charges`
     — the exact function SDFU booked them with, so a clean instance always
     matches its own table.
+
+    ``vertices`` limits the table to those vertices' planners (None = every
+    vertex in the graph); the result equals the full table restricted to
+    their ``(name, kind)`` keys.  The cost is one dict lookup per live span
+    record, plus one ``sdfu_charges`` walk per allocation that holds a
+    filter span on one of the vertices — none for any other allocation.
     """
     from ..match.traverser import sdfu_charges
-    from ..match.writer import planner_owner_index
     from ..resource.vertex import X_LIMIT
 
-    owners = planner_owner_index(sim.graph)
-    by_name = {v.name: v for v in sim.graph.vertices()}
+    scope = sim.graph.vertices() if vertices is None else vertices
+    owners: Dict[int, Tuple["ResourceVertex", str]] = {}
+    for vertex in scope:
+        owners[id(vertex.plans)] = (vertex, "plans")
+        owners[id(vertex.xplans)] = (vertex, "xplans")
+        if vertex.prune_filters is not None:
+            owners[id(vertex.prune_filters)] = (vertex, "filter")
     table: Dict[Tuple[str, str], Dict[int, dict]] = {}
     subsystem = sim.traverser.subsystem
     for alloc in sim.traverser.allocations.values():
-        sel_by_name = {sel.vertex.name: sel for sel in alloc.selections}
-        charges = sdfu_charges(sim.graph, subsystem, alloc.selections)
+        sel_by_name: Optional[Dict[str, "Selection"]] = None
+        charges: Optional[Dict[int, Dict[str, int]]] = None
         for planner, span_id in alloc._span_records:
             owner = owners.get(id(planner))
             if owner is None:
                 continue
-            name, kind = owner
-            sel = sel_by_name.get(name)
-            if kind == "plans":
-                want = {
-                    "start": alloc.at,
-                    "end": alloc.end,
-                    "request": sel.amount if sel is not None else 0,
-                }
-            elif kind == "xplans":
-                level = X_LIMIT if (sel is not None and sel.exclusive) else 1
-                want = {"start": alloc.at, "end": alloc.end, "request": level}
-            else:  # filter bundle
-                vertex = by_name[name]
+            vertex, kind = owner
+            if kind == "filter":
+                if charges is None:
+                    charges = sdfu_charges(
+                        sim.graph, subsystem, alloc.selections
+                    )
                 counts = {
                     rtype: qty
                     for rtype, qty in charges.get(vertex.uniq_id, {}).items()
                     if qty > 0
                 }
                 want = {"start": alloc.at, "end": alloc.end, "counts": counts}
-            table.setdefault((name, kind), {})[span_id] = want
+            else:
+                if sel_by_name is None:
+                    sel_by_name = {
+                        sel.vertex.name: sel for sel in alloc.selections
+                    }
+                sel = sel_by_name.get(vertex.name)
+                if kind == "plans":
+                    request = sel.amount if sel is not None else 0
+                else:
+                    exclusive = sel is not None and sel.exclusive
+                    request = X_LIMIT if exclusive else 1
+                want = {
+                    "start": alloc.at, "end": alloc.end, "request": request,
+                }
+            table.setdefault((vertex.name, kind), {})[span_id] = want
     return table
 
 
@@ -464,12 +483,14 @@ class IntegrityMonitor:
             cycle_limit=self.config.scrub_budget,
             checkpoint_interval=self.config.checkpoint_interval,
         )
-        expected = expected_span_table(sim)
+        scope = [
+            ordered[(self.cursor + i) % len(ordered)] for i in range(window)
+        ]
+        expected = expected_span_table(sim, scope)
         dirty: List[Tuple["ResourceVertex", List[Finding]]] = []
         scanned = 0
         try:
-            for i in range(window):
-                vertex = ordered[(self.cursor + i) % len(ordered)]
+            for vertex in scope:
                 findings = self.scan_vertex(vertex, expected, budget)
                 scanned += 1
                 if findings:
@@ -519,7 +540,11 @@ class IntegrityMonitor:
             return
         actions = self._engine.repair_vertex(vertex, findings, expected)
         self.counters["repair_actions"] += len(actions)
-        residual = self.scan_vertex(vertex, expected_span_table(sim))
+        # ``expected`` is the pass's window table; after each change re-derive
+        # for this vertex alone.
+        residual = self.scan_vertex(
+            vertex, expected_span_table(sim, [vertex])
+        )
         if not residual:
             self._release(vertex, was_up, actions)
             return
@@ -528,10 +553,10 @@ class IntegrityMonitor:
         self.counters["jobs_requeued"] += requeued
         self._obs_count("integrity.jobs_requeued", requeued)
         actions = self._engine.repair_vertex(
-            vertex, residual, expected_span_table(sim)
+            vertex, residual, expected_span_table(sim, [vertex])
         )
         self.counters["repair_actions"] += len(actions)
-        if not self.scan_vertex(vertex, expected_span_table(sim)):
+        if not self.scan_vertex(vertex, expected_span_table(sim, [vertex])):
             self._release(vertex, was_up, actions)
         else:
             self.counters["unrepaired"] += 1

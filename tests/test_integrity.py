@@ -14,9 +14,16 @@ import os
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.match.traverser as traverser_module
+import repro.match.writer as writer_module
+import repro.recovery.integrity as integrity_module
 from repro.grug import tiny_cluster
 from repro.jobspec import simple_node_jobspec
+from repro.match.traverser import sdfu_charges
+from repro.match.writer import planner_owner_index
 from repro.recovery import (
     CORRUPTION_KINDS,
     IntegrityConfig,
@@ -26,8 +33,10 @@ from repro.recovery import (
     apply_corruption,
     corruption_targets,
     expected_span_table,
+    state_diff,
     structure_checksum,
 )
+from repro.resource.vertex import X_LIMIT
 from repro.recovery.__main__ import main as fsck_main
 from repro.resilience import InvariantAuditor
 from repro.resilience.chaos import (
@@ -81,6 +90,218 @@ class TestChecksums:
         for (name, _kind), spans in table.items():
             assert sim.graph.vertex_by_name(name) is not None
             assert spans
+
+
+# ----------------------------------------------------------------------
+# windowed derivation: the scrubber derives expectations per window
+# ----------------------------------------------------------------------
+def seeded_busy_sim(seed, **kwargs):
+    """:func:`busy_sim` with seed-drawn shapes: shared and exclusive holds,
+    gpus and memory, one- and two-node jobs, running and reserved."""
+    rng = random.Random(seed)
+    sim = ClusterSimulator(
+        tiny_cluster(), match_policy="first", queue="easy", **kwargs
+    )
+    for i in range(8):
+        spec = simple_node_jobspec(
+            cores=rng.randint(1, 4),
+            memory=rng.choice([0, 0, 4]),
+            gpus=rng.randint(0, 1),
+            nodes=rng.choice([1, 1, 2]),
+            duration=rng.randint(200, 800),
+            node_exclusive=rng.random() < 0.3,
+        )
+        sim.submit(spec, at=i * rng.randint(10, 60))
+    sim.run(until=300)
+    return sim
+
+
+def reference_span_table(sim):
+    """Independent oracle for :func:`expected_span_table` over the whole
+    graph: owners from ``planner_owner_index`` and an eager
+    ``sdfu_charges`` walk for every live allocation."""
+    owners = planner_owner_index(sim.graph)
+    by_name = {v.name: v for v in sim.graph.vertices()}
+    table = {}
+    for alloc in sim.traverser.allocations.values():
+        sel_by_name = {sel.vertex.name: sel for sel in alloc.selections}
+        charges = sdfu_charges(
+            sim.graph, sim.traverser.subsystem, alloc.selections
+        )
+        for planner, span_id in alloc._span_records:
+            owner = owners.get(id(planner))
+            if owner is None:
+                continue
+            name, kind = owner
+            sel = sel_by_name.get(name)
+            want = {"start": alloc.at, "end": alloc.end}
+            if kind == "plans":
+                want["request"] = sel.amount if sel is not None else 0
+            elif kind == "xplans":
+                exclusive = sel is not None and sel.exclusive
+                want["request"] = X_LIMIT if exclusive else 1
+            else:
+                uniq_id = by_name[name].uniq_id
+                want["counts"] = {
+                    rtype: qty
+                    for rtype, qty in charges.get(uniq_id, {}).items()
+                    if qty > 0
+                }
+            table.setdefault((name, kind), {})[span_id] = want
+    return table
+
+
+def _corrupt(sim, kind, pick, salt):
+    """Damage the ``pick``-th target of ``kind``; returns its name."""
+    targets = corruption_targets(sim, kind)
+    if not targets:
+        return None
+    name = targets[pick % len(targets)]
+    apply_corruption(sim, sim.graph.vertex_by_name(name), kind, salt)
+    return name
+
+
+def _window(sim, start, width):
+    ordered = sorted(sim.graph.vertices(), key=lambda v: v.name)
+    width = min(width, len(ordered))
+    return [ordered[(start + i) % len(ordered)] for i in range(width)]
+
+
+_window_cases = given(
+    seed=st.integers(0, 63),
+    kind=st.sampled_from(CORRUPTION_KINDS),
+    pick=st.integers(0, 1000),
+    salt=st.integers(0, 2**16),
+    lead=st.integers(0, 30),
+    width=st.integers(1, 24),
+)
+
+
+@_window_cases
+@settings(max_examples=40, deadline=None)
+def test_window_table_is_full_table_restricted(
+    seed, kind, pick, salt, lead, width
+):
+    sim = seeded_busy_sim(seed)
+    damaged = _corrupt(sim, kind, pick, salt)
+    names = sorted(v.name for v in sim.graph.vertices())
+    anchor = names.index(damaged) if damaged else 0
+    window = _window(sim, anchor - lead, width)
+    full = reference_span_table(sim)
+    assert expected_span_table(sim) == full
+    keys = {(v.name, pkind) for v in window
+            for pkind in ("plans", "xplans", "filter")}
+    restricted = {key: spans for key, spans in full.items() if key in keys}
+    assert expected_span_table(sim, window) == restricted
+
+
+def _scrub_pass(seed, kind, pick, salt, lead, width, budget, full_table):
+    """One scrub pass on a freshly damaged sim; returns everything it
+    decided plus the sim.  ``full_table`` hands the pass the reference
+    whole-graph table instead of the windowed derivation."""
+    sim = seeded_busy_sim(
+        seed,
+        integrity=IntegrityConfig(
+            scrub_window=width, scrub_budget=budget, checkpoint_interval=1
+        ),
+    )
+    damaged = _corrupt(sim, kind, pick, salt)
+    names = sorted(v.name for v in sim.graph.vertices())
+    anchor = names.index(damaged) if damaged else 0
+    monitor = sim.integrity
+    monitor.cursor = (anchor - lead) % len(names)
+    records, findings = [], []
+    sim._journal = records.append
+    scan_vertex = monitor.scan_vertex
+
+    def recording_scan(vertex, expected, budget=None):
+        out = scan_vertex(vertex, expected, budget)
+        findings.append((vertex.name, out))
+        return out
+
+    monitor.scan_vertex = recording_scan
+    with pytest.MonkeyPatch.context() as mp:
+        if full_table:
+            mp.setattr(
+                integrity_module, "expected_span_table",
+                lambda sim, vertices=None: reference_span_table(sim),
+            )
+        monitor.scrub_cycle()
+    return findings, records, monitor.export_state(), sim
+
+
+@_window_cases
+@settings(max_examples=30, deadline=None)
+@example(seed=0, kind="aggregate", pick=0, salt=7, lead=0, width=1)
+@example(seed=3, kind="span", pick=1, salt=11, lead=2, width=8)
+@example(seed=5, kind="structure", pick=40, salt=3, lead=5, width=16)
+def test_window_scrub_pass_matches_full_table_pass(
+    seed, kind, pick, salt, lead, width
+):
+    budget = (None, 6, 40)[seed % 3]
+    windowed = _scrub_pass(
+        seed, kind, pick, salt, lead, width, budget, full_table=False
+    )
+    full = _scrub_pass(
+        seed, kind, pick, salt, lead, width, budget, full_table=True
+    )
+    assert windowed[:3] == full[:3]
+    assert state_diff(windowed[3], full[3]) == []
+
+
+@pytest.mark.parametrize("racks", [4, 16])
+def test_scrub_derivation_bound_holds_as_graph_grows(racks, monkeypatch):
+    """Counts, not times: a pass never indexes the whole graph and walks
+    ``sdfu_charges`` only for allocations with a filter span in its
+    window, whatever the graph size."""
+    sim = ClusterSimulator(
+        tiny_cluster(racks=racks), match_policy="first", queue="easy",
+        integrity=IntegrityConfig(scrub_window=8),
+    )
+    for i in range(5 * racks):  # same per-rack load: running + reserved
+        sim.submit(simple_node_jobspec(cores=2, duration=500), at=i)
+    sim.run(until=100)
+    calls = {"sdfu_charges": 0, "planner_owner_index": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        traverser_module, "sdfu_charges",
+        counting("sdfu_charges", sdfu_charges),
+    )
+    monkeypatch.setattr(
+        writer_module, "planner_owner_index",
+        counting("planner_owner_index", planner_owner_index),
+    )
+    monitor = sim.integrity
+    total = sum(1 for _ in sim.graph.vertices())
+    walked = filterless = 0
+    for cursor in range(0, total, 8):
+        monitor.cursor = cursor
+        window = _window(sim, cursor, 8)
+        filters = {
+            id(v.prune_filters) for v in window if v.prune_filters is not None
+        }
+        touching = sum(
+            1
+            for alloc in sim.traverser.allocations.values()
+            if any(id(p) in filters for p, _sid in alloc._span_records)
+        )
+        calls.update(sdfu_charges=0, planner_owner_index=0)
+        monitor.scrub_cycle()
+        assert calls["planner_owner_index"] == 0
+        assert calls["sdfu_charges"] <= touching
+        if not filters:
+            assert calls["sdfu_charges"] == 0
+            filterless += 1
+        walked += calls["sdfu_charges"]
+    assert filterless and walked  # both kinds of window were exercised
+    assert len(sim.traverser.allocations) >= 4 * racks
+    assert monitor.counters["detected"] == 0
 
 
 # ----------------------------------------------------------------------
