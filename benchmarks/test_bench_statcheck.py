@@ -1,5 +1,5 @@
 """Benchmarks for the fluxlint pipeline: cold lint, cached lint, parallel
-fan-out, and the interprocedural (fluxflow) whole-tree sweep.
+fan-out, and the whole-program engine's flow and race sweeps.
 
 These track the costs a developer pays on every pre-commit run and the cost
 CI pays per push; the cached/cold ratio is the headline number for the
@@ -9,8 +9,7 @@ content-hash cache (ISSUE 4 satellite 1).
 import os
 import shutil
 
-from repro.statcheck import LintCache, lint_paths
-from repro.statcheck.flow import FlowEngine
+from repro.statcheck import LintCache, ProgramEngine, lint_paths
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO, "src", "repro")
@@ -46,26 +45,11 @@ def test_bench_flow_sweep(benchmark):
     analyses.  Acceptance bound is 30s; typical is ~2s."""
 
     def sweep():
-        return FlowEngine().analyze_paths([SRC_REPRO])
+        return ProgramEngine(engines=("flow",)).analyze_paths([SRC_REPRO])
 
-    violations, modules = benchmark.pedantic(sweep, rounds=2, iterations=1)
-    assert modules > 60
+    violations, ctx = benchmark.pedantic(sweep, rounds=2, iterations=1)
+    assert len(ctx.program.modules) > 60
     assert violations == []
-
-
-def test_bench_perf_sweep(benchmark):
-    """The fluxhot pass CI pays per push: parse, call graph, hotness join
-    against the checked-in manifest, four PRF rules over the hot set."""
-    from repro.statcheck.hot import DEFAULT_MANIFEST, PerfEngine
-
-    manifest_path = os.path.join(REPO, DEFAULT_MANIFEST)
-
-    def sweep():
-        return PerfEngine().analyze_paths([SRC_REPRO], manifest_path)
-
-    violations, model = benchmark.pedantic(sweep, rounds=2, iterations=1)
-    assert model.hot_functions()  # the manifest ranks a non-empty hot set
-    assert all(v.rule.startswith("PRF") for v in violations)
 
 
 def test_bench_race_sweep(benchmark):
@@ -73,29 +57,18 @@ def test_bench_race_sweep(benchmark):
     summaries, shared-state model, four RACE rules over the whole tree
     against the checked-in entrypoint manifest.  Same 30s acceptance
     bound as the flow sweep; typical is a few seconds."""
-    from repro.statcheck.race import DEFAULT_ENTRYPOINTS, RaceEngine
+    from repro.statcheck.race import DEFAULT_ENTRYPOINTS
 
     manifest_path = os.path.join(REPO, DEFAULT_ENTRYPOINTS)
 
     def sweep():
-        return RaceEngine().analyze_paths([SRC_REPRO], manifest_path)
+        engine = ProgramEngine(engines=("race",))
+        return engine.analyze_paths([SRC_REPRO], manifest_path)
 
-    violations, model = benchmark.pedantic(sweep, rounds=2, iterations=1)
+    violations, ctx = benchmark.pedantic(sweep, rounds=2, iterations=1)
+    model = ctx.model
     assert model.entrypoints and not model.missing_entrypoints
     assert all(v.rule.startswith("RACE") for v in violations)
-
-
-def test_bench_hotprofile(benchmark, tmp_path):
-    """Regenerating the hotspot manifest: the scale workload under
-    cProfile plus the qualname join.  Acceptance bound is loose; this
-    exists to catch the profiler overhead exploding."""
-    from repro.statcheck.hot import run_hotprofile
-
-    def profile():
-        return run_hotprofile(output_path=str(tmp_path / "hotspots.json"))
-
-    document = benchmark.pedantic(profile, rounds=1, iterations=1)
-    assert document["functions"]
 
 
 def test_bench_cache_cold_vs_warm_ratio(tmp_path):

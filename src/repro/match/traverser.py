@@ -171,7 +171,7 @@ def _tracked_slice(
     Filters at the same graph level track identical type sets, so one
     ``_collect``/``_fill_count`` pass re-derives the same dict thousands of
     times; keying on ``filters.types`` collapses that to one comprehension
-    per distinct set (PRF001: dict built per visited vertex otherwise).
+    per distinct set (otherwise a dict is built per visited vertex).
     """
     key = filters.types
     tracked = cache.get(key)
@@ -193,7 +193,7 @@ class Candidate:
 
     Slotted plain class: ``_collect`` materialises one per matching vertex
     per dispatch, so the per-instance dict a dataclass would carry is pure
-    hot-path overhead (PRF003).  Treated as immutable.
+    hot-path overhead.  Treated as immutable.
     """
 
     __slots__ = ("vertex", "via")
@@ -842,7 +842,7 @@ class Traverser:
         visits = 0
         filter_hits = 0
         filter_misses = 0
-        # Hot-loop hoists (PRF002): bind per-call invariants to locals so the
+        # Hot-loop hoists: bind per-call invariants to locals so the
         # DFS body — run once per visited vertex — skips repeated attribute
         # lookups; memoize the tracked demand slice per filter type-set.
         prune = self.prune
@@ -852,7 +852,7 @@ class Traverser:
         tracked_cache: Dict[Tuple[str, ...], Dict[str, int]] = {}
         # Decision provenance (null-twin pattern): one hoisted bool guards
         # every probe, so a disabled recorder costs a local truth test on
-        # the prune paths only; the bound method is hoisted too (PRF002).
+        # the prune paths only; the bound method is hoisted too.
         why = self.obs.why
         why_on = why.enabled
         why_prune = why.prune

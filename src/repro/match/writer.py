@@ -41,7 +41,7 @@ class Selection:
     vertices on the path between the request level and the selected
     resources.
 
-    Slotted plain class (PRF003): every match emits one Selection per
+    Slotted plain class: every match emits one Selection per
     booked vertex, and the per-instance dict a dataclass carries is
     measurable overhead at fill-the-machine rates.  Treated as immutable.
     """
@@ -103,7 +103,8 @@ class Allocation:
         planner-like is a Planner (vertex plans/xplans) or PlannerMulti
         (pruning filter).
 
-    Slotted plain class (PRF003): one Allocation per successful match.
+    Slotted plain class: one Allocation per successful match, so the
+    per-instance dict a dataclass carries is overhead on every booking.
     Mirrors the former (non-frozen) dataclass: equality compares all
     fields and instances are unhashable.
     """

@@ -52,7 +52,7 @@ class Span:
     from :meth:`~repro.planner.Planner.add_span`.  Treated as immutable:
     updates go through :meth:`replace` (slotted plain class rather than a
     dataclass — planners materialise one per booking on the match hot path,
-    and ``__slots__`` drops the per-instance dict; PRF003).
+    and ``__slots__`` drops the per-instance dict).
     """
 
     __slots__ = ("span_id", "start", "end", "request", "metadata")

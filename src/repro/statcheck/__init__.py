@@ -17,9 +17,13 @@ checks them mechanically:
 
 * :mod:`repro.statcheck.core` / :mod:`repro.statcheck.rules` — **fluxlint**,
   an AST lint engine with project-specific rules (DET001, EXC001, FLT001,
-  MUT001, JRN001, API001), per-line suppression via
-  ``# fluxlint: disable=RULE`` and text/JSON reporters.  Run it with
+  MUT001, JRN001, API001, ...), per-line suppression via
+  ``# fluxlint: disable=RULE`` and text/JSON/SARIF reporters.  Run it with
   ``python -m repro.statcheck src/repro``.
+* :mod:`repro.statcheck.engine` — the one rule catalogue (lint, flow and
+  race rules) and the whole-program engine that runs the interprocedural
+  **fluxflow** (``--flow``) and concurrency-readiness **fluxrace**
+  (``--race``) rules over one shared program model.
 * :mod:`repro.statcheck.sanitizer` — **FluxSan**, an opt-in runtime
   sanitizer (``FLUXSAN=1`` or ``ClusterSimulator(..., sanitize=True)``)
   that wraps the Planner/PlannerMulti/graph/traverser hot paths with
@@ -32,57 +36,39 @@ policy.
 
 from __future__ import annotations
 
+from .cache import LintCache
 from .core import (
     LintEngine,
     LintParseError,
     LintRule,
+    ProgramRule,
     SourceModule,
     Violation,
-    all_rules,
     lint_paths,
     lint_source,
-    register_rule,
 )
+from .engine import CATALOGUE, ProgramEngine, analyze_sources, resolve_rules
+from .race import render_race_report
 from .reporters import render_json, render_sarif, render_text
 from .sanitizer import DualRunReport, FluxSan, dual_run
-
-# Importing the rules module populates the registry as a side effect.
-from . import rules as _rules  # noqa: F401  (registration import)
-
-# The flow package registers the interprocedural analyses (SPAN001,
-# DET002, EXC002, JRN002) on import.
-from .cache import LintCache
-from .flow import (
-    FlowEngine,
-    all_flow_analyses,
-    analyze_sources,
-    register_flow_analysis,
-)
-
-# The race package registers the concurrency-readiness rules
-# (RACE001-RACE004) on import.
-from .race import RaceEngine, all_race_rules, render_race_report
 
 __all__ = [
     "LintEngine",
     "LintParseError",
     "LintRule",
+    "ProgramRule",
     "SourceModule",
     "Violation",
-    "all_rules",
     "lint_paths",
     "lint_source",
-    "register_rule",
+    "CATALOGUE",
+    "ProgramEngine",
+    "analyze_sources",
+    "resolve_rules",
     "render_text",
     "render_json",
     "render_sarif",
     "LintCache",
-    "FlowEngine",
-    "all_flow_analyses",
-    "analyze_sources",
-    "register_flow_analysis",
-    "RaceEngine",
-    "all_race_rules",
     "render_race_report",
     "FluxSan",
     "DualRunReport",

@@ -24,6 +24,7 @@ import tempfile
 from typing import Iterable, List, Optional
 
 from .core import Violation
+from .engine import CATALOGUE
 
 __all__ = ["LintCache", "CACHE_SCHEMA_VERSION", "DEFAULT_CACHE_DIR"]
 
@@ -49,20 +50,11 @@ def _rules_fingerprint(rule_ids: Iterable[str]) -> str:
     """
     import inspect
 
-    from .core import all_rules
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
-    registry = dict(all_rules())
-    registry.update(all_flow_analyses())
-    registry.update(all_perf_rules())
-    registry.update(all_race_rules())
     modules = sorted(
         {
-            registry[rule_id].__module__
+            CATALOGUE[rule_id].__module__
             for rule_id in rule_ids
-            if rule_id in registry
+            if rule_id in CATALOGUE
         }
     )
     digest = hashlib.sha256()

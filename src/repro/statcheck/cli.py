@@ -1,4 +1,5 @@
-"""fluxlint / fluxflow / FluxSan command line: ``python -m repro.statcheck``.
+"""fluxlint / fluxflow / fluxrace / FluxSan command line:
+``python -m repro.statcheck``.
 
 Exit codes follow the usual lint convention:
 
@@ -17,10 +18,13 @@ Examples::
     python -m repro.statcheck --select DET001 src/   # one rule only
     python -m repro.statcheck --list-rules
     python -m repro.statcheck --dual-run tiny        # FluxSan determinism
-    python -m repro.statcheck --perf src/repro       # profile-guided PRF rules
-    python -m repro.statcheck hotprofile             # regenerate the manifest
     python -m repro.statcheck --race src/repro       # concurrency readiness
     python -m repro.statcheck --race --race-report fluxrace-report.txt src/repro
+    python -m repro.statcheck --flow --race --format sarif src/repro
+
+``--flow`` and ``--race`` share one whole-program model, built once per
+run.  For where the *scheduler's* time goes, use the per-layer ledger:
+``python3 schedbench/run.py --workload fill_lod --trace 1``.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ import argparse
 import os
 import subprocess
 import sys
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set
 
 from ..errors import FluxionError, SanitizerError
-from .core import LintEngine, LintParseError, Violation, all_rules
+from .core import LintEngine, Violation
+from .engine import CATALOGUE, ENGINES, ProgramEngine, resolve_rules
 from .reporters import render_json, render_sarif, render_text
 from .sanitizer import FluxSan, dual_run
 
@@ -92,20 +97,11 @@ def _run_dual(preset: str, out: Callable[[str], None]) -> int:
 
 
 def _list_rules(out: Callable[[str], None]) -> int:
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
-    groups = (
-        ("fluxlint AST rules (always on)", all_rules()),
-        ("fluxflow interprocedural analyses (--flow)", all_flow_analyses()),
-        ("fluxhot profile-guided perf rules (--perf)", all_perf_rules()),
-        ("fluxrace concurrency-readiness rules (--race)", all_race_rules()),
-    )
-    for title, registry in groups:
+    for engine, title in ENGINES.items():
         out(f"{title}:")
-        for rule_id, rule_cls in sorted(registry.items()):
-            out(f"  {rule_id}  {rule_cls.summary}")
+        for rule_id, rule_cls in sorted(CATALOGUE.items()):
+            if rule_cls.engine == engine:
+                out(f"  {rule_id}  {rule_cls.summary}")
         out("")
     out("FluxSan runtime sanitizer (--dual-run PRESET / FLUXSAN=1):")
     out("  span double-free, exclusive-overlap, SDFU divergence, graph")
@@ -142,109 +138,11 @@ def _changed_files() -> Set[str]:
     }
 
 
-def _split_select(
-    raw: Optional[str],
-    flow_enabled: bool,
-    role: str = "select",
-    perf_enabled: bool = False,
-    race_enabled: bool = False,
-) -> Tuple[
-    Optional[List[str]],
-    Optional[List[str]],
-    Optional[List[str]],
-    Optional[List[str]],
-]:
-    """Split a ``--select``/``--ignore`` list into (lint, flow, perf, race)
-    ids.
-
-    Unknown ids raise; *selecting* a flow/perf/race id without ``--flow``/
-    ``--perf``/``--race`` raises with a hint (ignoring one is a harmless
-    no-op).
-    """
-    from .flow.analyses import all_flow_analyses
-    from .hot import all_perf_rules
-    from .race import all_race_rules
-
-    if raw is None:
-        return None, None, None, None
-    ids = [part.strip().upper() for part in raw.split(",") if part.strip()]
-    lint_registry = set(all_rules())
-    flow_registry = set(all_flow_analyses())
-    perf_registry = set(all_perf_rules())
-    race_registry = set(all_race_rules())
-    known = lint_registry | flow_registry | perf_registry | race_registry
-    unknown = [i for i in ids if i not in known]
-    if unknown:
-        raise FluxionError(
-            f"unknown rule ids: {sorted(set(unknown))}; known: {sorted(known)}"
-        )
-    flow_ids = [i for i in ids if i in flow_registry]
-    if flow_ids and not flow_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(flow_ids))} are interprocedural; "
-            "add --flow to run them"
-        )
-    perf_ids = [i for i in ids if i in perf_registry]
-    if perf_ids and not perf_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(perf_ids))} are profile-guided; "
-            "add --perf to run them"
-        )
-    race_ids = [i for i in ids if i in race_registry]
-    if race_ids and not race_enabled and role == "select":
-        raise FluxionError(
-            f"rule ids {sorted(set(race_ids))} are concurrency-readiness "
-            "rules; add --race to run them"
-        )
-    return (
-        [i for i in ids if i in lint_registry],
-        flow_ids,
-        perf_ids,
-        race_ids,
-    )
-
-
-def _run_hotprofile(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.statcheck hotprofile",
-        description="profile the test_bench_scale workload and write the "
-        "hotspot manifest the --perf mode consumes",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="manifest path (default: statcheck-hotspots.json)",
-    )
-    parser.add_argument("--racks", type=int, default=4)
-    parser.add_argument("--nodes-per-rack", type=int, default=16)
-    args = parser.parse_args(argv)
-
-    from .hot import DEFAULT_MANIFEST
-    from .hot.workload import run_hotprofile
-
-    target = args.output or DEFAULT_MANIFEST
-    document = run_hotprofile(
-        target, racks=args.racks, nodes_per_rack=args.nodes_per_rack
-    )
-    print(
-        f"fluxhot: wrote {target}: {len(document['functions'])} function(s), "
-        f"workload total {document['total_s']:.3f}s"
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    raw_args = list(argv if argv is not None else sys.argv[1:])
-    if raw_args and raw_args[0] == "hotprofile":
-        try:
-            return _run_hotprofile(raw_args[1:])
-        except FluxionError as exc:
-            print(f"fluxhot: error: {exc}", file=sys.stderr)
-            return 2
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.statcheck",
         description="fluxlint static analysis + fluxflow interprocedural "
-        "analysis + FluxSan runtime checks",
+        "analysis + fluxrace concurrency readiness + FluxSan runtime checks",
     )
     parser.add_argument("paths", nargs="*", help="files or directories to lint")
     parser.add_argument(
@@ -267,25 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--flow", action="store_true",
         help="also run the interprocedural fluxflow analyses "
         "(SPAN001, DET002, EXC002, JRN002)",
-    )
-    parser.add_argument(
-        "--perf", action="store_true",
-        help="also run the profile-guided fluxhot perf rules "
-        "(PRF001-PRF004) against the hotspot manifest",
-    )
-    parser.add_argument(
-        "--hotspots", default=None, metavar="FILE",
-        help="hotspot manifest for --perf (default: statcheck-hotspots.json; "
-        "regenerate with 'python -m repro.statcheck hotprofile')",
-    )
-    parser.add_argument(
-        "--hot-report", default=None, metavar="FILE",
-        help="with --perf, also write the ranked hot-path report to FILE",
-    )
-    parser.add_argument(
-        "--hot-threshold", type=float, default=None, metavar="FRACTION",
-        help="hotness threshold for --perf as a fraction of workload time "
-        "(default: 0.01)",
     )
     parser.add_argument(
         "--race", action="store_true",
@@ -336,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run the FluxSan dual-run nondeterminism check on a preset "
         f"workload ({', '.join(DUAL_RUN_PRESETS)}) and exit",
     )
-    args = parser.parse_args(raw_args)
+    args = parser.parse_args(argv)
 
     def out(line: str) -> None:
         print(line)
@@ -360,27 +239,29 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         return _run_lint(args, out)
-    except (LintParseError, OSError) as exc:
+    except (OSError, FluxionError) as exc:  # includes LintParseError
         print(f"fluxlint: error: {exc}", file=sys.stderr)
         return 2
-    except FluxionError as exc:
-        print(f"fluxlint: error: {exc}", file=sys.stderr)
-        return 2
+
+
+def _rule_ids(raw: Optional[str]) -> Optional[List[str]]:
+    """A comma-separated ``--select``/``--ignore`` value as a list."""
+    if raw is None:
+        return None
+    return [part.strip() for part in raw.split(",") if part.strip()]
 
 
 def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
     from .core import _expand
 
-    lint_select, flow_select, perf_select, race_select = _split_select(
-        args.select, args.flow, perf_enabled=args.perf,
-        race_enabled=args.race,
+    engines = ["lint"]
+    engines += [name for name in ("flow", "race") if getattr(args, name)]
+    chosen = resolve_rules(
+        _rule_ids(args.select), _rule_ids(args.ignore), engines
     )
-    lint_ignore, flow_ignore, perf_ignore, race_ignore = _split_select(
-        args.ignore, args.flow, "ignore", perf_enabled=args.perf,
-        race_enabled=args.race,
+    engine = LintEngine(
+        select=[rule.rule_id for rule in chosen if rule.engine == "lint"]
     )
-
-    engine = LintEngine(select=lint_select, ignore=lint_ignore)
 
     cache = None
     if args.cache or args.cache_dir is not None:
@@ -420,65 +301,29 @@ def _run_lint(args: argparse.Namespace, out: Callable[[str], None]) -> int:
             lint_targets, jobs=max(args.jobs, 1), cache=cache
         )
 
-    if args.flow:
-        from .flow import FlowEngine
+    if args.flow or args.race:
+        from .race import DEFAULT_ENTRYPOINTS, render_race_report
 
-        flow_engine = FlowEngine(select=flow_select, ignore=flow_ignore)
+        program_engine = ProgramEngine(
+            select=[rule.rule_id for rule in chosen if rule.engine != "lint"],
+            engines=engines[1:],
+        )
         # The whole program is always built from the full path set —
         # interprocedural facts need every module — but with --changed-only
         # findings are reported only for the changed files.
-        flow_violations, _ = flow_engine.analyze_paths(args.paths)
-        if changed is not None:
-            flow_violations = [
-                v
-                for v in flow_violations
-                if os.path.realpath(v.path) in changed
-            ]
-        violations = sorted(set(violations) | set(flow_violations))
-
-    if args.perf:
-        from .hot import DEFAULT_MANIFEST, HOT_THRESHOLD, PerfEngine
-        from .hot.rules import render_hot_report
-
-        perf_engine = PerfEngine(select=perf_select, ignore=perf_ignore)
-        perf_violations, hot_model = perf_engine.analyze_paths(
-            args.paths,
-            args.hotspots or DEFAULT_MANIFEST,
-            threshold=(
-                args.hot_threshold
-                if args.hot_threshold is not None
-                else HOT_THRESHOLD
-            ),
-        )
-        if changed is not None:
-            perf_violations = [
-                v
-                for v in perf_violations
-                if os.path.realpath(v.path) in changed
-            ]
-        violations = sorted(set(violations) | set(perf_violations))
-        if args.hot_report is not None:
-            with open(args.hot_report, "w", encoding="utf-8") as handle:
-                handle.write(render_hot_report(hot_model))
-                handle.write("\n")
-
-    if args.race:
-        from .race import DEFAULT_ENTRYPOINTS, RaceEngine, render_race_report
-
-        race_engine = RaceEngine(select=race_select, ignore=race_ignore)
-        race_violations, race_model = race_engine.analyze_paths(
+        program_violations, ctx = program_engine.analyze_paths(
             args.paths, args.entrypoints or DEFAULT_ENTRYPOINTS
         )
         if changed is not None:
-            race_violations = [
+            program_violations = [
                 v
-                for v in race_violations
+                for v in program_violations
                 if os.path.realpath(v.path) in changed
             ]
-        violations = sorted(set(violations) | set(race_violations))
-        if args.race_report is not None:
+        violations = sorted(set(violations) | set(program_violations))
+        if args.race_report is not None and ctx.model is not None:
             with open(args.race_report, "w", encoding="utf-8") as handle:
-                handle.write(render_race_report(race_model))
+                handle.write(render_race_report(ctx.model))
                 handle.write("\n")
 
     if args.update_baseline:

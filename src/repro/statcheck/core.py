@@ -3,9 +3,10 @@
 A lint run parses each Python file once into a :class:`SourceModule`
 (source text + AST + suppression directives), instantiates every selected
 :class:`LintRule` against it, and collects :class:`Violation` records.
-Rules are :class:`ast.NodeVisitor` subclasses registered through
-:func:`register_rule`; each owns one rule id and decides with
-:meth:`LintRule.applies_to` which files it inspects.
+Rules are :class:`ast.NodeVisitor` subclasses listed in the rule catalogue
+(:mod:`repro.statcheck.engine`); each owns one rule id and decides with
+:meth:`LintRule.applies_to` which files it inspects.  Whole-program rules
+(fluxflow, fluxrace) derive from :class:`ProgramRule` instead.
 
 Suppression directives, checked per emitted violation:
 
@@ -24,17 +25,25 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type,
+)
 
 from ..errors import FluxionError
+
+if TYPE_CHECKING:
+    from .flow.callgraph import CallGraph
+    from .flow.program import FlowProgram, ModuleInfo
+    from .flow.summaries import SummaryTable
+    from .race.model import RaceModel
 
 __all__ = [
     "Violation",
     "LintParseError",
     "SourceModule",
     "LintRule",
-    "register_rule",
-    "all_rules",
+    "ProgramContext",
+    "ProgramRule",
     "LintEngine",
     "lint_source",
     "lint_paths",
@@ -133,6 +142,7 @@ class LintRule(ast.NodeVisitor):
 
     rule_id: str = ""
     summary: str = ""
+    engine: str = "lint"
 
     def __init__(self, module: SourceModule) -> None:
         self.module = module
@@ -157,22 +167,41 @@ class LintRule(ast.NodeVisitor):
             )
 
 
-_REGISTRY: Dict[str, Type[LintRule]] = {}
+@dataclass
+class ProgramContext:
+    """What a whole-program rule sees: the program, its call graph and
+    summaries, and the shared-state model when a RACE rule runs."""
+
+    program: "FlowProgram"
+    graph: "CallGraph"
+    summaries: "SummaryTable"
+    model: Optional["RaceModel"] = None
 
 
-def register_rule(rule_cls: Type[LintRule]) -> Type[LintRule]:
-    """Class decorator adding ``rule_cls`` to the global rule registry."""
-    if not rule_cls.rule_id:
-        raise ValueError(f"{rule_cls.__name__} has no rule_id")
-    if rule_cls.rule_id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule_cls.rule_id}")
-    _REGISTRY[rule_cls.rule_id] = rule_cls
-    return rule_cls
+class ProgramRule:
+    """Base class for whole-program rules (one instance per run).
 
+    Subclasses set :attr:`rule_id`, :attr:`summary` and :attr:`engine`
+    (``"flow"`` or ``"race"``) and implement :meth:`run`.
+    """
 
-def all_rules() -> Dict[str, Type[LintRule]]:
-    """The registered rules, keyed by rule id."""
-    return dict(_REGISTRY)
+    rule_id: str = ""
+    summary: str = ""
+    engine: str = ""
+
+    def __init__(self) -> None:
+        self.violations: List[Violation] = []
+
+    def run(self, ctx: ProgramContext) -> List[Violation]:
+        raise NotImplementedError
+
+    def report(
+        self, module: "ModuleInfo", line: int, col: int, message: str
+    ) -> None:
+        if not module.source_module.is_suppressed(self.rule_id, line):
+            self.violations.append(
+                Violation(module.path, line, col, self.rule_id, message)
+            )
 
 
 class LintEngine:
@@ -181,7 +210,7 @@ class LintEngine:
     Parameters
     ----------
     select:
-        Rule ids to run (default: every registered rule).
+        Rule ids to run (default: every lint rule in the catalogue).
     ignore:
         Rule ids to exclude after selection.
     """
@@ -191,21 +220,11 @@ class LintEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
     ) -> None:
-        registry = all_rules()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
+        from .engine import resolve_rules
+
+        self.rules: List[Type[LintRule]] = resolve_rules(
+            select, ignore, ("lint",)
         )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.rules: List[Type[LintRule]] = [
-            registry[rule_id]
-            for rule_id in sorted(chosen - dropped)
-        ]
 
     # ------------------------------------------------------------------
     def lint_source(self, source: str, path: str = "<string>") -> List[Violation]:
@@ -306,18 +325,10 @@ def _expand(paths: Sequence[str]) -> Iterable[str]:
             raise FluxionError(f"no such file or directory: {path}")
 
 
-#: per-process engine cache for the --jobs worker pool, keyed by rule ids
-_WORKER_ENGINES: Dict[Tuple[str, ...], "LintEngine"] = {}
-
-
 def _lint_worker(task: Tuple[str, List[str], Optional[str]]) -> Tuple[bool, "object"]:
     """Pool worker: lint one file, returning (ok, violations-or-error)."""
     path, rule_ids, cache_root = task
-    key = tuple(rule_ids)
-    engine = _WORKER_ENGINES.get(key)
-    if engine is None:
-        engine = LintEngine(select=rule_ids)
-        _WORKER_ENGINES[key] = engine
+    engine = LintEngine(select=rule_ids)
     cache = None
     if cache_root is not None:
         from .cache import LintCache

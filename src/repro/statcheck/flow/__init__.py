@@ -10,19 +10,15 @@ Layered on the intraprocedural rule engine in :mod:`repro.statcheck.core`:
 * :mod:`summaries` — per-parameter release/escape and mutation summaries;
 * :mod:`analyses` — the SPAN001 / DET002 / EXC002 / JRN002 rules;
 * :mod:`baseline` — accepted-findings gating for CI.
+
+The rules run in the whole-program engine, :mod:`repro.statcheck.engine`.
 """
 
 from .analyses import (
     CrashSwallowTaintAnalysis,
     DeterminismTaintAnalysis,
-    FlowAnalysis,
-    FlowContext,
-    FlowEngine,
     JournalHelperAnalysis,
     SpanLeakAnalysis,
-    all_flow_analyses,
-    analyze_sources,
-    register_flow_analysis,
 )
 from .baseline import apply_baseline, load_baseline, save_baseline
 from .callgraph import CallGraph, CallSite, build_call_graph
@@ -32,16 +28,10 @@ from .program import FlowProgram, FunctionInfo, ModuleInfo
 from .summaries import FunctionSummary, SummaryTable, compute_summaries
 
 __all__ = [
-    "FlowAnalysis",
-    "FlowContext",
-    "FlowEngine",
     "SpanLeakAnalysis",
     "DeterminismTaintAnalysis",
     "CrashSwallowTaintAnalysis",
     "JournalHelperAnalysis",
-    "all_flow_analyses",
-    "analyze_sources",
-    "register_flow_analysis",
     "apply_baseline",
     "load_baseline",
     "save_baseline",

@@ -15,42 +15,35 @@ JRN002    journal-before-mutate across helpers: in any class with a
           (transitively) state-mutating helper before the journal append
 ========  ==============================================================
 
-Analyses report through the same :class:`repro.statcheck.core.Violation`
-records as the intraprocedural rules, honour the same suppression
-directives, and are gated by the same baseline file (see ``baseline.py``).
+Analyses are :class:`repro.statcheck.core.ProgramRule` subclasses run by
+the whole-program engine (:mod:`repro.statcheck.engine`).  They report
+through the same :class:`~repro.statcheck.core.Violation` records as the
+intraprocedural rules, honour the same suppression directives, and are
+gated by the same baseline file (see ``baseline.py``).
 """
 
 from __future__ import annotations
 
 import ast
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core import Violation
+from ..core import ProgramContext, ProgramRule, Violation
 from ..rules import WallClockRule, _handler_catches, _has_bare_reraise
-from .callgraph import CallGraph, CallSite, build_call_graph, walk_own
+from .callgraph import CallGraph, walk_own
 from .cfg import build_cfg
 from .fixpoint import solve_cfg
-from .program import FlowProgram, FunctionInfo, ModuleInfo
+from .program import FlowProgram, FunctionInfo
 from .summaries import (
     ACQUIRE_METHOD,
     RELEASE_METHOD,
     MUTATOR_NAMES,
-    SummaryTable,
-    compute_summaries,
     _classify_use,
     _parent_map,
     _rooted_at_self,
 )
 
 __all__ = [
-    "FlowAnalysis",
-    "FlowContext",
-    "FlowEngine",
-    "register_flow_analysis",
-    "all_flow_analyses",
-    "analyze_sources",
     "SpanLeakAnalysis",
     "DeterminismTaintAnalysis",
     "CrashSwallowTaintAnalysis",
@@ -65,52 +58,6 @@ _CORE_PACKAGES = (
 
 def _is_critical(path: str) -> bool:
     return any(f"repro/{package}/" in path for package in _CORE_PACKAGES)
-
-
-@dataclass
-class FlowContext:
-    """Everything an analysis needs: program, call graph, summaries."""
-
-    program: FlowProgram
-    graph: CallGraph
-    summaries: SummaryTable
-
-
-class FlowAnalysis:
-    """Base class for interprocedural analyses (one instance per run)."""
-
-    rule_id: str = ""
-    summary: str = ""
-
-    def __init__(self) -> None:
-        self.violations: List[Violation] = []
-
-    def run(self, ctx: FlowContext) -> List[Violation]:
-        raise NotImplementedError
-
-    def report(
-        self, module: ModuleInfo, line: int, col: int, message: str
-    ) -> None:
-        if not module.source_module.is_suppressed(self.rule_id, line):
-            self.violations.append(
-                Violation(module.path, line, col, self.rule_id, message)
-            )
-
-
-_FLOW_REGISTRY: Dict[str, Type[FlowAnalysis]] = {}
-
-
-def register_flow_analysis(cls: Type[FlowAnalysis]) -> Type[FlowAnalysis]:
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in _FLOW_REGISTRY:
-        raise ValueError(f"duplicate flow rule id {cls.rule_id}")
-    _FLOW_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_flow_analyses() -> Dict[str, Type[FlowAnalysis]]:
-    return dict(_FLOW_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +108,17 @@ def _chain(
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
-class SpanLeakAnalysis(FlowAnalysis):
+class SpanLeakAnalysis(ProgramRule):
     """SPAN001: planner spans (paper §4.1) must stay exactly consistent
     with allocations — a span id that is neither freed, stored, nor
     handed off is unreachable garbage in every planner, and rollback on
     the recovery path can no longer remove it."""
 
     rule_id = "SPAN001"
+    engine = "flow"
     summary = "add_span handle can leak: a path exits without rem_span"
 
-    def run(self, ctx: FlowContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         for fn in ctx.program.functions.values():
             _SpanChecker(self, ctx, fn).check()
         return self.violations
@@ -183,7 +130,7 @@ _Acq = Tuple[str, int, int]
 
 class _SpanChecker:
     def __init__(
-        self, analysis: SpanLeakAnalysis, ctx: FlowContext, fn: FunctionInfo
+        self, analysis: SpanLeakAnalysis, ctx: ProgramContext, fn: FunctionInfo
     ) -> None:
         self.analysis = analysis
         self.ctx = ctx
@@ -407,16 +354,16 @@ def _names_stored(targets: Sequence[ast.expr], stmt: ast.AST) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
-class DeterminismTaintAnalysis(FlowAnalysis):
+class DeterminismTaintAnalysis(ProgramRule):
     """DET002: recovery replay (PR 2) re-executes journaled commands;
     DET001 flags direct wall-clock/RNG reads, this rule flags critical
     call sites whose callee reaches one through any resolved chain."""
 
     rule_id = "DET002"
+    engine = "flow"
     summary = "call chain reaches wall-clock/unseeded RNG (replay diverges)"
 
-    def run(self, ctx: FlowContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         seeds: Dict[str, Tuple] = {}
         for module in ctx.program.modules.values():
             for violation in WallClockRule(module.source_module).run():
@@ -453,8 +400,7 @@ class DeterminismTaintAnalysis(FlowAnalysis):
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
-class CrashSwallowTaintAnalysis(FlowAnalysis):
+class CrashSwallowTaintAnalysis(ProgramRule):
     """EXC002: fault injection relies on ``SimulatedCrash`` propagating to
     the simulator loop.  EXC001 flags broad handlers intraprocedurally;
     this rule flags critical call sites whose callee (transitively)
@@ -463,9 +409,10 @@ class CrashSwallowTaintAnalysis(FlowAnalysis):
     does not look for."""
 
     rule_id = "EXC002"
+    engine = "flow"
     summary = "call chain can absorb SimulatedCrash before the sim loop"
 
-    def run(self, ctx: FlowContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         seeds: Dict[str, Tuple] = {}
         for fn in ctx.program.functions.values():
             seed = self._absorbing_handler(fn)
@@ -520,8 +467,7 @@ class CrashSwallowTaintAnalysis(FlowAnalysis):
 # ---------------------------------------------------------------------------
 
 
-@register_flow_analysis
-class JournalHelperAnalysis(FlowAnalysis):
+class JournalHelperAnalysis(ProgramRule):
     """JRN002: write-ahead order, generalized.  JRN001 checks direct
     mutations inside ``sched/simulator.py``; this rule checks *any* class
     with a ``_journal`` method and follows helper calls — a handler that
@@ -529,11 +475,12 @@ class JournalHelperAnalysis(FlowAnalysis):
     as lossy on crash as one that mutates inline."""
 
     rule_id = "JRN002"
+    engine = "flow"
     summary = "journaling method runs a mutating helper before _journal"
 
     _EXEMPT = {"_journal", "_crashpoint"}
 
-    def run(self, ctx: FlowContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         for ci in ctx.program.classes.values():
             if "_journal" not in ci.methods:
                 continue
@@ -544,7 +491,7 @@ class JournalHelperAnalysis(FlowAnalysis):
         return self.violations
 
     def _check_method(
-        self, ctx: FlowContext, name: str, method: FunctionInfo
+        self, ctx: ProgramContext, name: str, method: FunctionInfo
     ) -> None:
         journal_line = self._first_journal_line(method)
         if journal_line is None:
@@ -567,7 +514,7 @@ class JournalHelperAnalysis(FlowAnalysis):
 
     def _offence(
         self,
-        ctx: FlowContext,
+        ctx: ProgramContext,
         name: str,
         node: ast.AST,
         journal_line: int,
@@ -637,59 +584,10 @@ class JournalHelperAnalysis(FlowAnalysis):
         return min(lines, default=None)
 
 
-# ---------------------------------------------------------------------------
-# engine
-# ---------------------------------------------------------------------------
-
-
-class FlowEngine:
-    """Runs a selected set of flow analyses over a whole program."""
-
-    def __init__(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> None:
-        from ...errors import FluxionError
-
-        registry = all_flow_analyses()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
-        )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown flow rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.analyses: List[Type[FlowAnalysis]] = [
-            registry[rule_id] for rule_id in sorted(chosen - dropped)
-        ]
-
-    def analyze_program(self, program: FlowProgram) -> List[Violation]:
-        graph = build_call_graph(program)
-        summaries = compute_summaries(program, graph)
-        ctx = FlowContext(program=program, graph=graph, summaries=summaries)
-        violations: List[Violation] = []
-        for analysis_cls in self.analyses:
-            violations.extend(analysis_cls().run(ctx))
-        return sorted(set(violations))
-
-    def analyze_paths(
-        self, paths: Sequence[str]
-    ) -> Tuple[List[Violation], int]:
-        program = FlowProgram.from_paths(paths)
-        return self.analyze_program(program), len(program.modules)
-
-    def analyze_sources(self, sources: Mapping[str, str]) -> List[Violation]:
-        return self.analyze_program(FlowProgram.from_sources(sources))
-
-
-def analyze_sources(
-    sources: Mapping[str, str],
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-) -> List[Violation]:
-    """Convenience wrapper: run flow analyses over in-memory sources."""
-    return FlowEngine(select=select, ignore=ignore).analyze_sources(sources)
+#: this module's rules, in catalogue order (see :mod:`repro.statcheck.engine`)
+RULES = (
+    SpanLeakAnalysis,
+    DeterminismTaintAnalysis,
+    CrashSwallowTaintAnalysis,
+    JournalHelperAnalysis,
+)

@@ -4,8 +4,9 @@ Before ROADMAP item 1 wraps :class:`~repro.sched.simulator.ClusterSimulator`
 in a long-running multi-tenant service, fluxrace answers mechanically:
 *what state is shared, and who guards it?*  It joins the checked-in
 service-entrypoint manifest (``statcheck-entrypoints.json``) with the
-fluxflow call graph and escape summaries, and runs the RACE001-004 rules
-(see docs/static_analysis.md).  ``statcheck-race-baseline.json`` is the
+fluxflow call graph and escape summaries; the whole-program engine
+(:mod:`repro.statcheck.engine`) runs the RACE001-004 rules over it (see
+docs/static_analysis.md).  ``statcheck-race-baseline.json`` is the
 ranked de-globalization worklist for the service PR.
 """
 
@@ -20,11 +21,10 @@ from .model import (
     render_race_report,
 )
 from .rules import (
-    RaceContext,
-    RaceEngine,
-    RaceRule,
-    all_race_rules,
-    register_race_rule,
+    BlockingCallRule,
+    GlobalMutableStateRule,
+    GuardDisciplineRule,
+    SharedEscapeRule,
 )
 
 __all__ = [
@@ -36,9 +36,8 @@ __all__ = [
     "SharedGlobal",
     "load_entrypoints",
     "render_race_report",
-    "RaceContext",
-    "RaceEngine",
-    "RaceRule",
-    "all_race_rules",
-    "register_race_rule",
+    "GlobalMutableStateRule",
+    "BlockingCallRule",
+    "SharedEscapeRule",
+    "GuardDisciplineRule",
 ]

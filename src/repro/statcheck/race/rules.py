@@ -18,88 +18,31 @@ RACE004   ``# guarded-by: <lock>`` discipline: every write to guarded
           non-reentrant lock it already holds
 ========  ==============================================================
 
-Findings report through the standard :class:`Violation` records, honour
-``# fluxlint: disable=`` suppressions, and gate through the same baseline
-files as every other engine — ``statcheck-race-baseline.json`` is the
+Rules are :class:`repro.statcheck.core.ProgramRule` subclasses run by the
+whole-program engine (:mod:`repro.statcheck.engine`), which builds the
+:class:`RaceModel` only when one of them runs.  Findings report through the
+standard :class:`Violation` records, honour ``# fluxlint: disable=``
+suppressions, and gate through the same baseline files as every other rule — ``statcheck-race-baseline.json`` is the
 ranked de-globalization worklist for the scheduling-as-a-service PR.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Set
 
-from ...errors import FluxionError
-from ..core import Violation
-from ..flow.callgraph import CallGraph, build_call_graph, walk_own
-from ..flow.program import FlowProgram, FunctionInfo, ModuleInfo
-from ..flow.summaries import SummaryTable, classify_name_uses, compute_summaries
-from .model import (
-    DEFAULT_ENTRYPOINTS,
-    MUTATOR_NAMES,
-    RaceModel,
-    SharedGlobal,
-    WriteSite,
-    load_entrypoints,
-    _dotted_parts,
-)
+from ..core import ProgramContext, ProgramRule, Violation
+from ..flow.callgraph import walk_own
+from ..flow.program import FunctionInfo, ModuleInfo
+from ..flow.summaries import classify_name_uses
+from .model import MUTATOR_NAMES, SharedGlobal, WriteSite, _dotted_parts
 
 __all__ = [
-    "RaceContext",
-    "RaceRule",
-    "RaceEngine",
-    "register_race_rule",
-    "all_race_rules",
+    "GlobalMutableStateRule",
+    "BlockingCallRule",
+    "SharedEscapeRule",
+    "GuardDisciplineRule",
 ]
-
-
-@dataclass
-class RaceContext:
-    """Everything a RACE rule needs: program, call graph, shared-state
-    model, and the fluxflow escape summaries."""
-
-    program: FlowProgram
-    graph: CallGraph
-    model: RaceModel
-    summaries: SummaryTable
-
-
-class RaceRule:
-    """Base class for concurrency-readiness rules (one instance per run)."""
-
-    rule_id: str = ""
-    summary: str = ""
-
-    def __init__(self) -> None:
-        self.violations: List[Violation] = []
-
-    def run(self, ctx: RaceContext) -> List[Violation]:
-        raise NotImplementedError
-
-    def report_at(
-        self, module: ModuleInfo, line: int, col: int, message: str
-    ) -> None:
-        if not module.source_module.is_suppressed(self.rule_id, line):
-            self.violations.append(
-                Violation(module.path, line, col, self.rule_id, message)
-            )
-
-
-_RACE_REGISTRY: Dict[str, Type[RaceRule]] = {}
-
-
-def register_race_rule(cls: Type[RaceRule]) -> Type[RaceRule]:
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    if cls.rule_id in _RACE_REGISTRY:
-        raise ValueError(f"duplicate race rule id {cls.rule_id}")
-    _RACE_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def all_race_rules() -> Dict[str, Type[RaceRule]]:
-    return dict(_RACE_REGISTRY)
 
 
 def _roots_label(roots: Sequence[str], limit: int = 3) -> str:
@@ -113,17 +56,17 @@ def _roots_label(roots: Sequence[str], limit: int = 3) -> str:
 # ---------------------------------------------------------------------------
 
 
-@register_race_rule
-class GlobalMutableStateRule(RaceRule):
+class GlobalMutableStateRule(ProgramRule):
     """RACE001: process-global mutable state is last-writer-wins across
     tenants the moment two requests share the interpreter; every memo
     dict, registry, and ``global`` rebind found here must either move
     into an owning object / ContextVar or declare its lock."""
 
     rule_id = "RACE001"
+    engine = "race"
     summary = "module-global mutable state written outside module init"
 
-    def run(self, ctx: RaceContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         for qualname in sorted(ctx.model.globals):
             shared = ctx.model.globals[qualname]
             if shared.guard is not None or not shared.writes:
@@ -137,7 +80,7 @@ class GlobalMutableStateRule(RaceRule):
                 if shared.mutable
                 else f"module-global '{shared.name}'"
             )
-            self.report_at(
+            self.report(
                 shared.module,
                 shared.line,
                 shared.col,
@@ -158,7 +101,7 @@ class GlobalMutableStateRule(RaceRule):
                 # literal is only a default value
             first = min(attr.writes, key=lambda w: (w.path, w.line))
             short_cls = attr.class_qualname.rsplit(".", 1)[-1]
-            self.report_at(
+            self.report(
                 attr.module,
                 attr.line,
                 attr.col,
@@ -196,17 +139,17 @@ _BLOCKING_MODULES: Dict[str, Optional[Set[str]]] = {
 _BLOCKING_BUILTINS = {"open", "input"}
 
 
-@register_race_rule
-class BlockingCallRule(RaceRule):
+class BlockingCallRule(ProgramRule):
     """RACE002: one worker parked in ``time.sleep`` or synchronous file
     I/O stalls every tenant sharing the event loop; ``signal``/``fork``/
     ``cProfile`` are process-wide and cannot be scoped to one request at
     all."""
 
     rule_id = "RACE002"
+    engine = "race"
     summary = "blocking or process-wide call reachable from a service entrypoint"
 
-    def run(self, ctx: RaceContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         for qualname in sorted(ctx.program.functions):
             fn = ctx.program.functions[qualname]
             roots = ctx.model.roots_reaching(qualname)
@@ -222,7 +165,7 @@ class BlockingCallRule(RaceRule):
                 ctx.model.blocking_by_module[fn.module.name] = (
                     ctx.model.blocking_by_module.get(fn.module.name, 0) + 1
                 )
-                self.report_at(
+                self.report(
                     fn.module,
                     node.lineno,
                     node.col_offset,
@@ -279,8 +222,7 @@ class BlockingCallRule(RaceRule):
 # ---------------------------------------------------------------------------
 
 
-@register_race_rule
-class SharedEscapeRule(RaceRule):
+class SharedEscapeRule(ProgramRule):
     """RACE003: a value two tenant roots can both reach, that some
     reachable function mutates without a guard, is a data race the
     moment those roots run concurrently; aliasing through helper
@@ -288,9 +230,10 @@ class SharedEscapeRule(RaceRule):
     behind an accessor does not hide the race."""
 
     rule_id = "RACE003"
+    engine = "race"
     summary = "unguarded mutation of state shared between service roots"
 
-    def run(self, ctx: RaceContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         returns_global = self._returns_global(ctx)
         touchers: Dict[str, Set[str]] = {}
         mutations: Dict[str, List[WriteSite]] = {}
@@ -361,7 +304,7 @@ class SharedEscapeRule(RaceRule):
                 if qualname in escapes
                 else ""
             )
-            self.report_at(
+            self.report(
                 module,
                 first.line,
                 first.col,
@@ -375,7 +318,7 @@ class SharedEscapeRule(RaceRule):
         return self.violations
 
     @staticmethod
-    def _returns_global(ctx: RaceContext) -> Dict[str, str]:
+    def _returns_global(ctx: ProgramContext) -> Dict[str, str]:
         """Function qualname -> global qualname it returns an alias of."""
         out: Dict[str, str] = {}
         for fn in ctx.program.functions.values():
@@ -399,7 +342,7 @@ class SharedEscapeRule(RaceRule):
 
     def _record_alias_mutations(
         self,
-        ctx: RaceContext,
+        ctx: ProgramContext,
         fn: FunctionInfo,
         aliases: Dict[str, str],
         touchers: Dict[str, Set[str]],
@@ -442,7 +385,7 @@ class SharedEscapeRule(RaceRule):
 
     def _record_escapes(
         self,
-        ctx: RaceContext,
+        ctx: ProgramContext,
         fn: FunctionInfo,
         read_globals: Set[str],
         escapes: Dict[str, str],
@@ -486,17 +429,17 @@ class SharedEscapeRule(RaceRule):
 # ---------------------------------------------------------------------------
 
 
-@register_race_rule
-class GuardDisciplineRule(RaceRule):
+class GuardDisciplineRule(ProgramRule):
     """RACE004: a ``# guarded-by:`` annotation is a machine-checked
     contract — writes hold the named lock, callers of caller-holds
     functions hold it, and no call chain re-acquires a non-reentrant
     lock it already holds (instant deadlock, not just a race)."""
 
     rule_id = "RACE004"
+    engine = "race"
     summary = "guarded-by contract violated or non-reentrant lock re-entered"
 
-    def run(self, ctx: RaceContext) -> List[Violation]:
+    def run(self, ctx: ProgramContext) -> List[Violation]:
         held_maps = {
             qualname: _held_map(fn)
             for qualname, fn in ctx.program.functions.items()
@@ -509,7 +452,7 @@ class GuardDisciplineRule(RaceRule):
     # (a) every write to guarded state holds the named lock
     def _check_guarded_writes(
         self,
-        ctx: RaceContext,
+        ctx: ProgramContext,
         held_maps: Dict[str, Dict[int, frozenset]],
     ) -> None:
         guarded = [
@@ -535,7 +478,7 @@ class GuardDisciplineRule(RaceRule):
                     held_maps.get(write.fn_qualname, {}), fn, write, guard
                 ):
                     continue
-                self.report_at(
+                self.report(
                     fn.module,
                     write.line,
                     write.col,
@@ -565,7 +508,7 @@ class GuardDisciplineRule(RaceRule):
     # (b) calls into caller-holds-annotated functions hold the lock
     def _check_caller_holds(
         self,
-        ctx: RaceContext,
+        ctx: ProgramContext,
         held_maps: Dict[str, Dict[int, frozenset]],
     ) -> None:
         for caller_qualname in sorted(ctx.graph.sites):
@@ -583,7 +526,7 @@ class GuardDisciplineRule(RaceRule):
                     continue
                 if guard in held.get(id(site.node), frozenset()):
                     continue
-                self.report_at(
+                self.report(
                     caller.module,
                     site.node.lineno,
                     site.node.col_offset,
@@ -597,7 +540,7 @@ class GuardDisciplineRule(RaceRule):
     # (c) non-reentrant re-entry along the call graph
     def _check_reentry(
         self,
-        ctx: RaceContext,
+        ctx: ProgramContext,
         held_maps: Dict[str, Dict[int, frozenset]],
     ) -> None:
         known_locks = set(ctx.model.lock_reentrant)
@@ -642,7 +585,7 @@ class GuardDisciplineRule(RaceRule):
                 if not reacquired:
                     continue
                 lock = reacquired[0]
-                self.report_at(
+                self.report(
                     caller.module,
                     site.node.lineno,
                     site.node.col_offset,
@@ -683,53 +626,10 @@ def _held_map(fn: FunctionInfo) -> Dict[int, frozenset]:
     return held
 
 
-# ---------------------------------------------------------------------------
-# engine
-# ---------------------------------------------------------------------------
-
-
-class RaceEngine:
-    """Runs a selected set of RACE rules over a whole program + manifest."""
-
-    def __init__(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> None:
-        registry = all_race_rules()
-        chosen = (
-            {r.upper() for r in select} if select is not None else set(registry)
-        )
-        dropped = {r.upper() for r in ignore} if ignore is not None else set()
-        unknown = (chosen | dropped) - set(registry)
-        if unknown:
-            raise FluxionError(
-                f"unknown race rule ids: {sorted(unknown)}; "
-                f"known: {sorted(registry)}"
-            )
-        self.rules: List[Type[RaceRule]] = [
-            registry[rule_id] for rule_id in sorted(chosen - dropped)
-        ]
-
-    def analyze_program(
-        self, program: FlowProgram, manifest: dict
-    ) -> Tuple[List[Violation], RaceModel]:
-        graph = build_call_graph(program)
-        model = RaceModel.build(program, graph, manifest)
-        summaries = compute_summaries(program, graph)
-        ctx = RaceContext(
-            program=program, graph=graph, model=model, summaries=summaries
-        )
-        violations: List[Violation] = []
-        for rule_cls in self.rules:
-            violations.extend(rule_cls().run(ctx))
-        return sorted(set(violations)), model
-
-    def analyze_paths(
-        self,
-        paths: Sequence[str],
-        entrypoints_path: str = DEFAULT_ENTRYPOINTS,
-    ) -> Tuple[List[Violation], RaceModel]:
-        program = FlowProgram.from_paths(paths)
-        manifest = load_entrypoints(entrypoints_path)
-        return self.analyze_program(program, manifest)
+#: this module's rules, in catalogue order (see :mod:`repro.statcheck.engine`)
+RULES = (
+    GlobalMutableStateRule,
+    BlockingCallRule,
+    SharedEscapeRule,
+    GuardDisciplineRule,
+)

@@ -32,7 +32,7 @@ import ast
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import LintRule, register_rule
+from .core import LintRule
 
 __all__ = [
     "WallClockRule",
@@ -102,7 +102,6 @@ class _ImportTracker:
         return None
 
 
-@register_rule
 class WallClockRule(LintRule):
     """DET001: recovery replay re-executes journaled commands and must make
     byte-identical decisions; any wall-clock read or unseeded RNG on a
@@ -225,7 +224,6 @@ def _swallows(handler: ast.ExceptHandler) -> bool:
     return True
 
 
-@register_rule
 class ExceptionSwallowRule(LintRule):
     """EXC001: ``SimulatedCrash`` derives from ``BaseException`` so that
     cleanup written as ``except Exception`` cannot eat it — but handlers
@@ -265,7 +263,6 @@ class ExceptionSwallowRule(LintRule):
         self.generic_visit(node)
 
 
-@register_rule
 class FloatTimeEqualityRule(LintRule):
     """FLT001: float-typed times (``sched_time`` and friends are wall-clock
     accumulations) must not be compared with ``==``/``!=`` — rounding makes
@@ -314,7 +311,6 @@ class FloatTimeEqualityRule(LintRule):
         return False
 
 
-@register_rule
 class MutableDefaultRule(LintRule):
     """MUT001: a mutable default argument is shared across calls — in a
     simulator that replays commands this aliases state between the control
@@ -359,7 +355,6 @@ class MutableDefaultRule(LintRule):
         return False
 
 
-@register_rule
 class JournalBeforeMutateRule(LintRule):
     """JRN001: write-ahead discipline in the simulator.
 
@@ -477,7 +472,6 @@ class JournalBeforeMutateRule(LintRule):
         return None
 
 
-@register_rule
 class JournaledRepairRule(LintRule):
     """INT001: repairs mutate scheduler state only via journaled actions.
 
@@ -591,7 +585,6 @@ class JournaledRepairRule(LintRule):
         )
 
 
-@register_rule
 class ObservabilityFunnelRule(LintRule):
     """OBS001: instrumentation must funnel through :mod:`repro.obs`.
 
@@ -661,7 +654,6 @@ class ObservabilityFunnelRule(LintRule):
         return tracker
 
 
-@register_rule
 class DecisionProvenanceRule(LintRule):
     """OBS002: prune/outcome bookkeeping belongs to the decision recorder.
 
@@ -730,7 +722,6 @@ class DecisionProvenanceRule(LintRule):
         )
 
 
-@register_rule
 class TypeHintRule(LintRule):
     """API001: public functions in the core layers (planner, match, sched,
     resource, recovery, resilience) are the recovery layer's serialization
@@ -802,7 +793,6 @@ class TypeHintRule(LintRule):
         )
 
 
-@register_rule
 class OverloadSignalSwallowRule(LintRule):
     """OVL001: overload-control signals are scheduling *decisions*, not
     failures.  :class:`~repro.errors.AdmissionRejected` and
@@ -853,3 +843,18 @@ class OverloadSignalSwallowRule(LintRule):
                 )
                 break
         self.generic_visit(node)
+
+
+#: this module's rules, in catalogue order (see :mod:`repro.statcheck.engine`)
+RULES = (
+    WallClockRule,
+    ExceptionSwallowRule,
+    FloatTimeEqualityRule,
+    MutableDefaultRule,
+    JournalBeforeMutateRule,
+    JournaledRepairRule,
+    ObservabilityFunnelRule,
+    DecisionProvenanceRule,
+    TypeHintRule,
+    OverloadSignalSwallowRule,
+)

@@ -15,14 +15,19 @@ from repro.match.writer import Allocation
 from repro.planner import Planner
 from repro.sched.simulator import ClusterSimulator
 from repro.statcheck import (
+    CATALOGUE,
     FluxSan,
     LintEngine,
     LintParseError,
-    all_rules,
+    LintRule,
     dual_run,
     lint_source,
 )
+from repro.statcheck import cache as cache_mod
+from repro.statcheck.cache import LintCache, _rules_fingerprint
 from repro.statcheck.cli import main
+from repro.statcheck.engine import build_catalogue
+from repro.statcheck.flow.analyses import SpanLeakAnalysis
 from repro.statcheck.reporters import render_json, render_text
 
 from .test_match import build_cluster
@@ -37,7 +42,8 @@ def rules_hit(source, path="mod.py", select=None):
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_all_rules_registered(self):
-        assert set(all_rules()) == {
+        lint_ids = {i for i, cls in CATALOGUE.items() if cls.engine == "lint"}
+        assert lint_ids == {
             "DET001", "EXC001", "FLT001", "MUT001", "JRN001", "INT001",
             "API001", "OBS001", "OBS002", "OVL001",
         }
@@ -45,6 +51,13 @@ class TestEngine:
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(FluxionError, match="unknown rule ids"):
             LintEngine(select=["NOPE999"])
+
+    def test_rule_id_duplicated_across_engines_is_rejected(self):
+        class ShadowsSpan001(LintRule):
+            rule_id = "SPAN001"
+
+        with pytest.raises(ValueError, match="duplicate rule id SPAN001"):
+            build_catalogue((SpanLeakAnalysis, ShadowsSpan001))
 
     def test_select_and_ignore(self):
         src = "import time\n\ndef f(x=[]):\n    return time.time()\n"
@@ -872,8 +885,9 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in all_rules():
-            assert rule_id in out
+        for rule_id, cls in CATALOGUE.items():
+            if cls.engine == "lint":
+                assert rule_id in out
 
     def test_unknown_preset_exits_two(self):
         assert main(["--dual-run", "bogus"]) == 2
@@ -882,3 +896,79 @@ class TestCLI:
         f = tmp_path / "clean.py"
         f.write_text("x = 1\n")
         assert main(["--select", "NOPE", str(f)]) == 2
+
+
+# ----------------------------------------------------------------------
+# lint cache keys fingerprint the rule implementations
+# ----------------------------------------------------------------------
+class TestCacheRuleFingerprint:
+    def test_fingerprint_changes_when_rule_source_changes(self, monkeypatch):
+        baseline = _rules_fingerprint(["DET001"])
+        monkeypatch.setitem(
+            cache_mod._SOURCE_DIGESTS,
+            "repro.statcheck.rules",
+            "pretend-the-rule-module-was-edited",
+        )
+        assert _rules_fingerprint(["DET001"]) != baseline
+
+    def test_cache_key_depends_on_rule_fingerprint(self, tmp_path, monkeypatch):
+        cache = LintCache(root=str(tmp_path), rule_ids=["DET001"])
+        key_before = cache.key("mod.py", b"x = 1\n")
+        monkeypatch.setitem(
+            cache_mod._SOURCE_DIGESTS,
+            "repro.statcheck.rules",
+            "pretend-the-rule-module-was-edited",
+        )
+        edited = LintCache(root=str(tmp_path), rule_ids=["DET001"])
+        assert edited.key("mod.py", b"x = 1\n") != key_before
+
+    def test_fingerprint_is_stable_across_constructions(self, tmp_path):
+        first = LintCache(root=str(tmp_path), rule_ids=["DET001", "MUT001"])
+        second = LintCache(root=str(tmp_path), rule_ids=["DET001", "MUT001"])
+        assert first.signature == second.signature
+
+    def test_unknown_rule_ids_do_not_crash(self):
+        assert _rules_fingerprint(["NOPE999"])
+
+    def test_stale_results_not_served_after_rule_edit(self, tmp_path, monkeypatch):
+        """The regression this fixes: a cached clean verdict must not
+        survive a rule edit that would now flag the file."""
+        raw = b"import time\nt = time.time()\n"
+        cache = LintCache(root=str(tmp_path), rule_ids=["DET001"])
+        cache.put(cache.key("mod.py", raw), [])  # old (stale) clean result
+        monkeypatch.setitem(
+            cache_mod._SOURCE_DIGESTS,
+            "repro.statcheck.rules",
+            "pretend-the-rule-module-was-edited",
+        )
+        edited = LintCache(root=str(tmp_path), rule_ids=["DET001"])
+        assert edited.get(edited.key("mod.py", raw)) is None
+
+
+# ----------------------------------------------------------------------
+# --changed-only degrades to a full scan outside git
+# ----------------------------------------------------------------------
+class TestChangedOnlyFallback:
+    def test_outside_git_warns_and_scans_everything(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # no enclosing git checkout under /tmp
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import time\nt = time.time()\n")
+        code = main(["--changed-only", str(dirty)])
+        captured = capsys.readouterr()
+        assert "falling back to a full scan" in captured.err
+        assert code == 1  # the full scan ran and found the violation
+        assert "DET001" in captured.out
+
+    def test_outside_git_clean_tree_still_exits_zero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        clean = tmp_path / "clean.py"
+        clean.write_text("def f(a=None):\n    return a\n")
+        code = main(["--changed-only", str(clean)])
+        captured = capsys.readouterr()
+        assert "falling back to a full scan" in captured.err
+        assert code == 0
+        assert "fluxlint: OK" in captured.out

@@ -17,12 +17,10 @@ import time
 import pytest
 
 from repro.errors import FluxionError
-from repro.statcheck import Violation, analyze_sources
+from repro.statcheck import CATALOGUE, ProgramEngine, Violation, analyze_sources
 from repro.statcheck.cli import main
 from repro.statcheck.flow import (
-    FlowEngine,
     FlowProgram,
-    all_flow_analyses,
     apply_baseline,
     build_call_graph,
     build_cfg,
@@ -799,22 +797,23 @@ class TestBaseline:
 
 class TestFlowEngine:
     def test_registry_has_all_four(self):
-        assert sorted(all_flow_analyses()) == [
+        assert sorted(i for i, c in CATALOGUE.items() if c.engine == "flow") == [
             "DET002", "EXC002", "JRN002", "SPAN001",
         ]
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(FluxionError):
-            FlowEngine(select=["NOPE"])
+            ProgramEngine(select=["NOPE"], engines=("flow",))
         with pytest.raises(FluxionError):
-            FlowEngine(ignore=["NOPE"])
+            ProgramEngine(ignore=["NOPE"], engines=("flow",))
 
     def test_tree_is_clean_and_fast(self):
         start = time.perf_counter()
-        violations, modules = FlowEngine().analyze_paths([SRC_REPRO])
+        engine = ProgramEngine(engines=("flow",))
+        violations, ctx = engine.analyze_paths([SRC_REPRO])
         elapsed = time.perf_counter() - start
         assert violations == []
-        assert modules > 60
+        assert len(ctx.program.modules) > 60
         assert elapsed < 30.0, f"flow sweep took {elapsed:.1f}s (budget 30s)"
 
 

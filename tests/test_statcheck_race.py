@@ -16,14 +16,14 @@ import os
 import pytest
 
 from repro.errors import FluxionError
+from repro.statcheck import engine as engine_mod
 from repro.statcheck.cli import main
+from repro.statcheck.engine import CATALOGUE, ProgramEngine
 from repro.statcheck.flow.callgraph import build_call_graph
 from repro.statcheck.flow.program import FlowProgram, module_name_for_path
 from repro.statcheck.race import (
     ENTRYPOINTS_VERSION,
-    RaceEngine,
     RaceModel,
-    all_race_rules,
     load_entrypoints,
     render_race_report,
 )
@@ -47,8 +47,9 @@ def manifest(*qualnames, kind="service"):
 def analyze(sources, *entrypoints, select=None, ignore=None):
     """Run the RACE rules over a virtual program; returns (violations, model)."""
     program = FlowProgram.from_sources(sources)
-    engine = RaceEngine(select=select, ignore=ignore)
-    return engine.analyze_program(program, manifest(*entrypoints))
+    engine = ProgramEngine(select=select, ignore=ignore, engines=("race",))
+    violations, ctx = engine.analyze_program(program, manifest(*entrypoints))
+    return violations, ctx.model
 
 
 def rules_fired(violations):
@@ -493,7 +494,7 @@ class TestGuardDiscipline:
 
 class TestRaceEngine:
     def test_registry_has_all_four_rules(self):
-        assert sorted(all_race_rules()) == [
+        assert sorted(i for i, c in CATALOGUE.items() if c.engine == "race") == [
             "RACE001",
             "RACE002",
             "RACE003",
@@ -501,12 +502,12 @@ class TestRaceEngine:
         ]
 
     def test_unknown_rule_id_raises(self):
-        with pytest.raises(FluxionError, match="unknown race rule"):
-            RaceEngine(select=["RACE999"])
+        with pytest.raises(FluxionError, match="unknown rule ids"):
+            ProgramEngine(select=["RACE999"], engines=("race",))
 
     def test_select_and_ignore_compose(self):
-        engine = RaceEngine(
-            select=["RACE001", "RACE002"], ignore=["RACE002"]
+        engine = ProgramEngine(
+            select=["RACE001", "RACE002"], ignore=["RACE002"], engines=("race",)
         )
         assert [r.rule_id for r in engine.rules] == ["RACE001"]
 
@@ -677,6 +678,33 @@ class TestRaceCLI:
         assert first == second
         assert "RACE001" in first
 
+    def test_flow_and_race_build_the_program_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        fixture, entrypoints = write_fixture(tmp_path)
+        calls = {"from_paths": 0, "compute_summaries": 0}
+        from_paths = FlowProgram.from_paths
+        compute_summaries = engine_mod.compute_summaries
+
+        def counting_from_paths(paths):
+            calls["from_paths"] += 1
+            return from_paths(paths)
+
+        def counting_summaries(program, graph):
+            calls["compute_summaries"] += 1
+            return compute_summaries(program, graph)
+
+        monkeypatch.setattr(
+            engine_mod.FlowProgram, "from_paths", counting_from_paths
+        )
+        monkeypatch.setattr(
+            engine_mod, "compute_summaries", counting_summaries
+        )
+        argv = ["--flow", "--race", "--entrypoints", str(entrypoints)]
+        assert main(argv + [str(fixture)]) == 1
+        assert "RACE001" in capsys.readouterr().out
+        assert calls == {"from_paths": 1, "compute_summaries": 1}
+
     def test_checked_in_race_baseline_is_clean(self, capsys, monkeypatch):
         """The acceptance criterion: the shipped tree runs clean under
         ``--race`` against the checked-in manifest and baseline."""
@@ -708,7 +736,6 @@ class TestRaceCLI:
         out = capsys.readouterr().out
         assert "fluxlint AST rules (always on)" in out
         assert "fluxflow interprocedural analyses (--flow)" in out
-        assert "fluxhot profile-guided perf rules (--perf)" in out
         assert "fluxrace concurrency-readiness rules (--race)" in out
         assert "RACE001" in out
         # the runtime sanitizer has no static ids but is still listed
