@@ -1058,7 +1058,3 @@ class Traverser:
             booked += 1
         if booked:
             self._c_sdfu_updates.inc(booked)
-
-    def _exclusive_tops(self, selections: List[Selection]) -> List[Selection]:
-        """Exclusive selections not nested under another exclusive selection."""
-        return exclusive_top_selections(selections, self.subsystem)

@@ -259,18 +259,13 @@ class Allocation:
             "spans": spans,
         }
 
-    @classmethod
-    def from_record(
-        cls,
+    @staticmethod
+    def resolve_record(
         record: Mapping[str, Any],
         by_name: Mapping[str, ResourceVertex],
-    ) -> "Allocation":
-        """Rebuild an allocation from :meth:`to_record` output.
-
-        ``by_name`` maps vertex names to the (already restored) graph's
-        vertices; the referenced planner spans must already exist — the
-        recovery layer imports planner state before rewiring allocations.
-        """
+    ) -> Tuple[List[Selection], List[Tuple[ResourceVertex, str, int]]]:
+        """A :meth:`to_record` record's selections and ``(vertex, planner
+        kind, span id)`` bookings; the spans need not exist yet."""
 
         def vertex_of(name: str) -> ResourceVertex:
             try:
@@ -289,23 +284,35 @@ class Allocation:
             )
             for s in record["selections"]
         ]
-        span_records: List[Tuple[object, int]] = []
+        spans: List[Tuple[ResourceVertex, str, int]] = []
         for entry in record["spans"]:
             vertex = vertex_of(entry["vertex"])
             kind = entry["kind"]
-            span_id = int(entry["span_id"])
-            if kind == "plans":
-                planner: object = vertex.plans
-                present = vertex.plans.has_span(span_id)
-            elif kind == "xplans":
-                planner = vertex.xplans
-                present = vertex.xplans.has_span(span_id)
-            elif kind == "filter":
-                planner = vertex.prune_filters
-                present = planner is not None and planner.has_span(span_id)
-            else:
+            if kind not in ("plans", "xplans", "filter"):
                 raise RecoveryError(f"unknown planner kind {kind!r}")
-            if not present:
+            spans.append((vertex, kind, int(entry["span_id"])))
+        return selections, spans
+
+    @classmethod
+    def from_record(
+        cls,
+        record: Mapping[str, Any],
+        by_name: Mapping[str, ResourceVertex],
+    ) -> "Allocation":
+        """Rebuild an allocation from :meth:`to_record` output.
+
+        ``by_name`` maps vertex names to the (already restored) graph's
+        vertices; the referenced planner spans must already exist — the
+        recovery layer imports planner state before rewiring allocations.
+        """
+        selections, spans = cls.resolve_record(record, by_name)
+        span_records: List[Tuple[object, int]] = []
+        for vertex, kind, span_id in spans:
+            planner = (
+                vertex.prune_filters if kind == "filter"
+                else getattr(vertex, kind)
+            )
+            if planner is None or not planner.has_span(span_id):
                 raise RecoveryError(
                     f"allocation record references missing {kind} span "
                     f"{span_id} on vertex {vertex.name!r}"

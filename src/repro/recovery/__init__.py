@@ -30,7 +30,7 @@ See ``docs/recovery.md`` for formats and guarantees.
 """
 
 from .crash import CRASH_POINTS, CrashInjector, SimulatedCrash
-from .diff import state_diff, state_fingerprint
+from .diff import state_diff, state_digest, state_fingerprint
 from .integrity import (
     CORRUPTION_KINDS,
     Finding,
@@ -59,6 +59,7 @@ __all__ = [
     "CrashInjector",
     "SimulatedCrash",
     "state_diff",
+    "state_digest",
     "state_fingerprint",
     "CORRUPTION_KINDS",
     "Finding",

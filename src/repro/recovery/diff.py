@@ -10,18 +10,20 @@ heap, the event log and the accounting counters.  Wall-clock measurements
 take identical wall time.
 
 ``state_fingerprint`` reduces a simulator to a nested JSON-able structure;
-``state_diff`` returns human-readable paths where two fingerprints differ
-(empty list = equivalent).
+``state_digest`` hashes it; ``state_diff`` returns human-readable paths
+where two fingerprints differ (empty list = equivalent).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Dict, List
 
 from ..match.writer import planner_owner_index
 from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
 
-__all__ = ["state_fingerprint", "state_diff"]
+__all__ = ["state_digest", "state_fingerprint", "state_diff"]
 
 
 def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
@@ -110,6 +112,14 @@ def state_fingerprint(sim: ClusterSimulator) -> Dict[str, Any]:
             None if sim.integrity is None else sim.integrity.export_state()
         ),
     }
+
+
+def state_digest(sim: ClusterSimulator) -> str:
+    """SHA-256 over the canonical JSON of :func:`state_fingerprint`."""
+    payload = json.dumps(
+        state_fingerprint(sim), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _walk(a: Any, b: Any, path: str, out: List[str]) -> None:

@@ -14,14 +14,14 @@ subsystem (repairs live in :mod:`repro.recovery.repair`):
   window of vertices each scheduling cycle under a deterministic
   :class:`~repro.resilience.overload.WorkBudget`, cross-checking each
   vertex's structure against a content checksum taken at attach time and
-  its planners against what the live allocation table says they *should*
-  hold.  Drift is quarantined (the vertex is drained so matching skips it),
-  repaired through the journaled repair engine, and re-verified — all
-  within the same cycle, before the end-of-cycle auditor runs.
+  its planners against what live allocations and planned outages say they
+  *should* hold.  Drift is quarantined (the vertex is drained so matching
+  skips it), repaired through the journaled repair engine, and re-verified
+  — all within the same cycle, before the end-of-cycle auditor runs.
 * :func:`expected_span_table` — the ground truth derivation: every live
   allocation's plans/xplans/filter spans recomputed from its selections
   via the same :func:`~repro.match.traverser.sdfu_charges` logic SDFU used
-  to book them.
+  to book them, and every planned outage's through ``outage_charges``.
 * :func:`apply_corruption` — a seeded, deterministic corruption injector
   used by the chaos harness and by :meth:`ClusterSimulator.inject_corruption`
   (which journals the injection as a replayable command, so crash-recovery
@@ -37,14 +37,14 @@ import hashlib
 import json
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import FluxionError, IntegrityError, SchedulingDeadlineExceeded
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..match.writer import Selection
-    from ..resource import ResourceVertex
+    from ..resource import ResourceGraph, ResourceVertex
     from ..sched.simulator import ClusterSimulator
 
 __all__ = [
@@ -57,9 +57,6 @@ __all__ = [
     "structure_checksum",
     "vertex_structure",
 ]
-
-#: planner kinds a vertex can carry, in scan order
-_PLANNER_KINDS = ("plans", "xplans", "filter")
 
 #: live-corruption kinds understood by :func:`apply_corruption`
 CORRUPTION_KINDS = ("span", "point", "aggregate", "structure")
@@ -91,20 +88,22 @@ def structure_checksum(vertex: "ResourceVertex") -> str:
 
 
 # ----------------------------------------------------------------------
-# ground truth: what the planners should hold, per the allocation table
+# ground truth: what the planners should hold, per allocations and outages
 # ----------------------------------------------------------------------
 def expected_span_table(
     sim: "ClusterSimulator",
     vertices: Optional[Iterable["ResourceVertex"]] = None,
 ) -> Dict[Tuple[str, str], Dict[int, dict]]:
-    """Re-derive planners' expected bookings from live allocations.
+    """Re-derive planners' expected bookings from live allocations and
+    planned outages.
 
     Returns ``{(vertex name, planner kind): {span id: expectation}}``.
     Plans/xplans expectations carry ``{"start", "end", "request"}``; filter
-    expectations carry ``{"start", "end", "counts"}`` with the per-type
-    charges recomputed through :func:`~repro.match.traverser.sdfu_charges`
-    — the exact function SDFU booked them with, so a clean instance always
-    matches its own table.
+    expectations carry ``{"start", "end", "counts"}``.  Allocations go
+    through :func:`allocation_expectations`, the outages of every
+    :class:`~repro.sched.capacity.CapacitySchedule` on the graph through
+    :func:`~repro.sched.capacity.outage_charges` — the functions the spans
+    were booked with, so a clean instance always matches its own table.
 
     ``vertices`` limits the table to those vertices' planners (None = every
     vertex in the graph); the result equals the full table restricted to
@@ -112,53 +111,92 @@ def expected_span_table(
     record, plus one ``sdfu_charges`` walk per allocation that holds a
     filter span on one of the vertices — none for any other allocation.
     """
-    from ..match.traverser import sdfu_charges
     from ..resource.vertex import X_LIMIT
+    from ..sched.capacity import outage_charges
 
-    scope = sim.graph.vertices() if vertices is None else vertices
+    graph = sim.graph
+    scope = graph.vertices() if vertices is None else vertices
     owners: Dict[int, Tuple["ResourceVertex", str]] = {}
     for vertex in scope:
         owners[id(vertex.plans)] = (vertex, "plans")
         owners[id(vertex.xplans)] = (vertex, "xplans")
         if vertex.prune_filters is not None:
             owners[id(vertex.prune_filters)] = (vertex, "filter")
-    table: Dict[Tuple[str, str], Dict[int, dict]] = {}
+
+    def owned(records: List[Tuple[object, int]]) -> List[tuple]:
+        return [(*owners[id(p)], sid) for p, sid in records if id(p) in owners]
+
+    rows: List[tuple] = []
     subsystem = sim.traverser.subsystem
     for alloc in sim.traverser.allocations.values():
-        sel_by_name: Optional[Dict[str, "Selection"]] = None
-        charges: Optional[Dict[int, Dict[str, int]]] = None
-        for planner, span_id in alloc._span_records:
-            owner = owners.get(id(planner))
-            if owner is None:
-                continue
-            vertex, kind = owner
-            if kind == "filter":
-                if charges is None:
-                    charges = sdfu_charges(
-                        sim.graph, subsystem, alloc.selections
-                    )
-                counts = {
-                    rtype: qty
-                    for rtype, qty in charges.get(vertex.uniq_id, {}).items()
-                    if qty > 0
-                }
-                want = {"start": alloc.at, "end": alloc.end, "counts": counts}
-            else:
-                if sel_by_name is None:
-                    sel_by_name = {
-                        sel.vertex.name: sel for sel in alloc.selections
-                    }
-                sel = sel_by_name.get(vertex.name)
-                if kind == "plans":
-                    request = sel.amount if sel is not None else 0
+        spans = owned(alloc._span_records)
+        if spans:
+            rows.extend(
+                allocation_expectations(
+                    graph, subsystem, alloc.selections, alloc.at, alloc.end,
+                    spans,
+                )
+            )
+    for schedule in graph.capacity_schedules:
+        for outage in schedule.outages.values():
+            charges: Optional[Dict[int, Dict[str, int]]] = None
+            for vertex, kind, span_id in owned(outage._span_records):
+                want: dict = {"start": outage.start, "end": outage.end}
+                if kind == "filter":
+                    if charges is None:
+                        charges = outage_charges(graph, outage.vertex)
+                    want["counts"] = charges.get(vertex.uniq_id, {})
                 else:
-                    exclusive = sel is not None and sel.exclusive
-                    request = X_LIMIT if exclusive else 1
-                want = {
-                    "start": alloc.at, "end": alloc.end, "request": request,
-                }
-            table.setdefault((vertex.name, kind), {})[span_id] = want
+                    full = vertex.plans.total if kind == "plans" else X_LIMIT
+                    want["request"] = full
+                rows.append((vertex, kind, span_id, want))
+    table: Dict[Tuple[str, str], Dict[int, dict]] = {}
+    for vertex, kind, span_id, want in rows:
+        table.setdefault((vertex.name, kind), {})[span_id] = want
     return table
+
+
+def allocation_expectations(
+    graph: "ResourceGraph",
+    subsystem: str,
+    selections: List["Selection"],
+    at: int,
+    end: int,
+    spans: Iterable[Tuple["ResourceVertex", str, int]],
+) -> Iterable[Tuple["ResourceVertex", str, int, dict]]:
+    """Pair each ``(vertex, planner kind, span id)`` one allocation booked
+    with what it should hold over ``[at, end)``: the selected amount on
+    plans, the exclusivity level on xplans, the
+    :func:`~repro.match.traverser.sdfu_charges` counts on filters (walked
+    once, and only if a filter span is among ``spans``).  Shared by
+    :func:`expected_span_table` and snapshot salvage, which books it.
+    """
+    from ..match.traverser import sdfu_charges
+    from ..resource.vertex import X_LIMIT
+
+    sel_by_name: Optional[Dict[str, "Selection"]] = None
+    charges: Optional[Dict[int, Dict[str, int]]] = None
+    for vertex, kind, span_id in spans:
+        if kind == "filter":
+            if charges is None:
+                charges = sdfu_charges(graph, subsystem, selections)
+            counts = {
+                rtype: qty
+                for rtype, qty in charges.get(vertex.uniq_id, {}).items()
+                if qty > 0
+            }
+            want = {"start": at, "end": end, "counts": counts}
+        else:
+            if sel_by_name is None:
+                sel_by_name = {sel.vertex.name: sel for sel in selections}
+            sel = sel_by_name.get(vertex.name)
+            if kind == "plans":
+                request = sel.amount if sel is not None else 0
+            else:
+                exclusive = sel is not None and sel.exclusive
+                request = X_LIMIT if exclusive else 1
+            want = {"start": at, "end": end, "request": request}
+        yield vertex, kind, span_id, want
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +243,9 @@ class IntegrityConfig:
         Repair-and-release quarantined vertices within the same pass.  When
         False the scrubber only detects and drains — operator tooling
         (``python -m repro.recovery fsck --repair``) finishes the job.
-    check_orphans:
-        Flag planner spans no live allocation accounts for.  Disable when
-        external bookers (e.g. capacity schedules) legitimately hold spans.
+
+    Planner spans that neither a live allocation nor a planned outage
+    accounts for are always flagged as orphans.
     """
 
     scrub_window: Optional[int] = 8
@@ -215,7 +253,6 @@ class IntegrityConfig:
     scrub_budget: Optional[int] = None
     checkpoint_interval: int = 32
     auto_repair: bool = True
-    check_orphans: bool = True
 
     def __post_init__(self) -> None:
         if self.scrub_window is not None and self.scrub_window < 1:
@@ -238,19 +275,13 @@ class IntegrityConfig:
 
     def to_dict(self) -> dict:
         """JSON-able form (snapshot / chaos reproducer serialisation)."""
-        return {
-            "scrub_window": self.scrub_window,
-            "scrub_every": self.scrub_every,
-            "scrub_budget": self.scrub_budget,
-            "checkpoint_interval": self.checkpoint_interval,
-            "auto_repair": self.auto_repair,
-            "check_orphans": self.check_orphans,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "IntegrityConfig":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(**data)
+        """Rebuild from :meth:`to_dict` output.  Snapshots written while
+        ``check_orphans`` was an option still carry it; it is ignored."""
+        return cls(**{k: v for k, v in data.items() if k != "check_orphans"})
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +400,7 @@ class IntegrityMonitor:
                             f"{exp['request']}x[{exp['start']},{exp['end']})",
                         )
                     )
-            if have and self.config.check_orphans:
+            if have:
                 findings.append(
                     Finding(
                         name, "span-orphan", pkind,
@@ -432,7 +463,7 @@ class IntegrityMonitor:
                         f"[{exp['start']},{exp['end']})",
                     )
                 )
-        if have_ids and self.config.check_orphans:
+        if have_ids:
             findings.append(
                 Finding(
                     name, "span-orphan", "filter",

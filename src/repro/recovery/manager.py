@@ -18,9 +18,7 @@ stopped.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import os
 from typing import Any, Dict, List, Optional
 
@@ -29,6 +27,7 @@ from ..jobspec import parse_jobspec
 from ..obs import WallTimer
 from ..sched.job import CancelReason
 from ..sched.simulator import _FAIL, _REPAIR, ClusterSimulator
+from .diff import state_digest
 from .journal import Journal, read_journal, read_journal_salvage
 from .snapshot import (
     load_snapshot,
@@ -222,16 +221,6 @@ class RecoveryManager:
 # ----------------------------------------------------------------------
 # recovery
 # ----------------------------------------------------------------------
-def _fingerprint_digest(sim: ClusterSimulator) -> str:
-    """SHA-256 over the logical state fingerprint (divergence forensics)."""
-    from .diff import state_fingerprint
-
-    payload = json.dumps(
-        state_fingerprint(sim), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _note_divergence(sim: ClusterSimulator) -> None:
     sim.recovery_stats["replay_divergences"] += 1
     if sim.obs.enabled:
@@ -247,7 +236,7 @@ def _replay_dispatch(sim: ClusterSimulator, record: Dict[str, Any]) -> None:
         raise RecoveryError(
             f"journal record {record['seq']}: dispatch with an empty "
             "event heap (replaying state fingerprint "
-            f"sha256:{_fingerprint_digest(sim)})"
+            f"sha256:{state_digest(sim)})"
         )
     when, kind, eseq, ref, data = sim._events[0]
     ref_name = sim.graph.vertex(ref).name if kind in (_FAIL, _REPAIR) else ref
@@ -259,7 +248,7 @@ def _replay_dispatch(sim: ClusterSimulator, record: Dict[str, Any]) -> None:
             f"journal record {record['seq']}: replay divergence — "
             f"expected (journaled) {expected!r}, observed (heap top) "
             f"{observed!r}; replaying state fingerprint "
-            f"sha256:{_fingerprint_digest(sim)}"
+            f"sha256:{state_digest(sim)}"
         )
     heapq.heappop(sim._events)
     sim._applying += 1

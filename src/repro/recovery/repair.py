@@ -229,15 +229,15 @@ class RepairEngine:
         Snapshot-salvage path: when a snapshot's ``planners`` section is
         corrupt it is dropped entirely and the spans each *live* allocation
         record references are reconstructed here — windows from the record,
-        requests from its selections, filter charges re-derived through
-        :func:`~repro.match.traverser.sdfu_charges` — before
+        requests and filter charges from
+        :func:`~repro.recovery.integrity.allocation_expectations`, the
+        derivation the scrubber checks them against — before
         ``Allocation.from_record`` resolves them.  Span ids are preserved;
         planner auto-id counters restart from the rebuilt registry (a
         bounded, accounted loss).  Returns the number of spans booked.
         """
-        from ..match.traverser import sdfu_charges
-        from ..match.writer import Selection
-        from ..resource.vertex import X_LIMIT
+        from ..match.writer import Allocation
+        from .integrity import allocation_expectations
 
         sim = self.sim
         by_name = {v.name: v for v in sim.graph.vertices()}
@@ -247,53 +247,17 @@ class RepairEngine:
         for record in records:
             if int(record["alloc_id"]) not in live_ids:
                 continue  # released allocations hold no spans
-            selections = [
-                Selection(
-                    vertex=by_name[s["vertex"]],
-                    amount=int(s["amount"]),
-                    exclusive=bool(s["exclusive"]),
-                    passthrough=bool(s["passthrough"]),
-                )
-                for s in record["selections"]
-            ]
-            sel_by_name = {s.vertex.name: s for s in selections}
-            charges = sdfu_charges(sim.graph, subsystem, selections)
+            selections, spans = Allocation.resolve_record(record, by_name)
             at = int(record["at"])
-            duration = int(record["duration"])
-            for entry in record["spans"]:
-                vertex = by_name[entry["vertex"]]
-                kind = entry["kind"]
-                sid = int(entry["span_id"])
-                sel = sel_by_name.get(vertex.name)
-                if kind == "plans":
-                    if not vertex.plans.has_span(sid):
-                        vertex.plans.add_span(
-                            at, duration,
-                            sel.amount if sel is not None else 0,
-                            span_id=sid,
-                        )
-                        booked += 1
-                elif kind == "xplans":
-                    if not vertex.xplans.has_span(sid):
-                        level = (
-                            X_LIMIT
-                            if (sel is not None and sel.exclusive)
-                            else 1
-                        )
-                        vertex.xplans.add_span(
-                            at, duration, level, span_id=sid
-                        )
-                        booked += 1
+            end = at + int(record["duration"])
+            for vertex, kind, sid, want in allocation_expectations(
+                sim.graph, subsystem, selections, at, end, spans
+            ):
+                if kind == "filter":
+                    planner, amount = vertex.prune_filters, want["counts"]
                 else:
-                    filters = vertex.prune_filters
-                    if filters is not None and not filters.has_span(sid):
-                        counts = {
-                            rtype: qty
-                            for rtype, qty in charges.get(
-                                vertex.uniq_id, {}
-                            ).items()
-                            if qty > 0
-                        }
-                        filters.add_span(at, duration, counts, span_id=sid)
-                        booked += 1
+                    planner, amount = getattr(vertex, kind), want["request"]
+                if planner is not None and not planner.has_span(sid):
+                    planner.add_span(at, end - at, amount, span_id=sid)
+                    booked += 1
         return booked

@@ -15,9 +15,9 @@ Checked invariants
 * **alloc-ownership** — every live traverser allocation is held by exactly
   one active job, and inactive jobs hold no live allocations;
 * **span-accounting** — every planner (vertex ``plans``/``xplans`` and
-  pruning filters) carries exactly the spans the live allocations (plus any
-  registered :class:`~repro.sched.capacity.CapacitySchedule` outages)
-  booked, with matching windows;
+  pruning filters) carries exactly the spans the live allocations and the
+  planned outages of every :class:`~repro.sched.capacity.CapacitySchedule`
+  on the graph booked, with matching allocation windows;
 * **exclusivity** — no two active jobs overlap in time on a vertex either
   holds exclusively, including descendants of exclusively-held subtrees;
 * **job-state** — PENDING jobs hold nothing, RUNNING/RESERVED jobs hold a
@@ -72,10 +72,6 @@ class InvariantAuditor:
 
     Parameters
     ----------
-    capacity_schedules:
-        :class:`~repro.sched.capacity.CapacitySchedule` instances whose
-        outage spans legitimately live on the audited graph's planners
-        outside any traverser allocation.
     deep:
         Additionally run every planner's internal
         ``check_invariants()`` (tree-structure self-checks) each audit —
@@ -83,8 +79,7 @@ class InvariantAuditor:
         per planner and the recovery tests are its main consumer.
     """
 
-    def __init__(self, capacity_schedules: Sequence = (), deep: bool = False) -> None:
-        self.capacity_schedules = list(capacity_schedules)
+    def __init__(self, *, deep: bool = False) -> None:
         self.deep = deep
         #: audits performed (each one covers every invariant family)
         self.checks_run = 0
@@ -219,7 +214,7 @@ class InvariantAuditor:
                             f"[{record.start},{record.end})",
                         )
                     )
-        for schedule in self.capacity_schedules:
+        for schedule in sim.graph.capacity_schedules:
             for outage in schedule.outages.values():
                 book(outage._span_records, f"outage {outage.outage_id}")
         for vertex in sim.graph.vertices():

@@ -28,7 +28,6 @@ spec and a trace of the minimal failing run land in ``--out``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -328,7 +327,7 @@ def run_campaign(
     """
     from ..recovery import CrashInjector, RecoveryManager, recover
     from ..recovery.crash import SimulatedCrash
-    from ..recovery.diff import state_fingerprint
+    from ..recovery.diff import state_digest
 
     tmp = None
     if spec.crash_point is not None and workdir is None:
@@ -367,11 +366,7 @@ def run_campaign(
             sim.auditor.check(sim)
         report = sim.report()
         violations.extend(_accounting_violations(report))
-        fingerprint = hashlib.sha256(
-            json.dumps(
-                state_fingerprint(sim), sort_keys=True, default=str
-            ).encode("utf-8")
-        ).hexdigest()
+        fingerprint = state_digest(sim)
         if trace_path is not None and sim.obs.enabled:
             sim.export_trace(trace_path)
         return CampaignResult(
@@ -466,7 +461,7 @@ def run_corruption_campaign(
     from ..errors import JournalCorruptError, SnapshotError
     from ..recovery import RecoveryManager, recover
     from ..recovery.__main__ import main as fsck_main
-    from ..recovery.diff import state_fingerprint
+    from ..recovery.diff import state_digest
     from ..recovery.integrity import corruption_targets
 
     if spec.corruption is None:
@@ -587,11 +582,7 @@ def run_corruption_campaign(
             sim.auditor.check(sim)
         report = sim.report()
         violations.extend(_accounting_violations(report))
-        fingerprint = hashlib.sha256(
-            json.dumps(
-                state_fingerprint(sim), sort_keys=True, default=str
-            ).encode("utf-8")
-        ).hexdigest()
+        fingerprint = state_digest(sim)
         if sim.recovery is not None:
             sim.recovery.close()
         fsck_exit = fsck_main(["fsck", workdir, "--check"])

@@ -58,6 +58,7 @@ class ResourceGraph:
         "_children_cache",
         "prune_types",
         "release_horizon",
+        "capacity_schedules",
     )
 
     def __init__(
@@ -85,6 +86,8 @@ class ResourceGraph:
         #: latest end of capacity released since :meth:`reset_releases`
         #: (see :meth:`note_release`); ``plan_start`` means none
         self.release_horizon = plan_start
+        #: every :class:`~repro.sched.capacity.CapacitySchedule` on this graph
+        self.capacity_schedules: List[Any] = []
 
     # ------------------------------------------------------------------
     # construction

@@ -20,7 +20,35 @@ from ..errors import ResourceGraphError
 from ..resource import ResourceGraph, ResourceVertex
 from ..resource.vertex import X_LIMIT
 
-__all__ = ["CapacitySchedule", "Outage"]
+__all__ = ["CapacitySchedule", "Outage", "outage_charges"]
+
+
+def outage_charges(
+    graph: ResourceGraph, vertex: ResourceVertex
+) -> Dict[int, Dict[str, int]]:
+    """Pruning-filter charges of an outage on ``vertex``'s subtree.
+
+    Pure function of the graph, shared by :meth:`CapacitySchedule.add_outage`
+    and :func:`~repro.recovery.integrity.expected_span_table`: ``{uniq_id:
+    {type: count}}`` for ``vertex`` and each filter-bearing ancestor, in
+    booking order.  Pools count at their planners' totals, which equal
+    ``vertex.size`` unless the structure fields the scrubber checks are
+    damaged.
+    """
+    prune_types = set(graph.prune_types)
+    totals: Dict[str, int] = {}
+    for v in [vertex, *graph.descendants(vertex)]:
+        if v.type in prune_types and v.plans.total:
+            totals[v.type] = totals.get(v.type, 0) + v.plans.total
+    charges: Dict[int, Dict[str, int]] = {}
+    for target in [vertex, *graph.ancestors(vertex)]:
+        filters = target.prune_filters
+        if filters is None:
+            continue
+        tracked = {t: n for t, n in totals.items() if filters.tracks(t)}
+        if tracked:
+            charges[target.uniq_id] = tracked
+    return charges
 
 
 @dataclass
@@ -43,11 +71,13 @@ class CapacitySchedule:
     every vertex of the subtree, the exclusivity level on their x-planners,
     and subtree totals into every pruning filter above — so matching,
     reservations and ``avail_time_first`` all see the window without any
-    special-casing.
+    special-casing.  Each schedule registers in ``graph.capacity_schedules``
+    so the integrity checkers account for its outages.
     """
 
     def __init__(self, graph: ResourceGraph) -> None:
         self.graph = graph
+        graph.capacity_schedules.append(self)
         self.outages: Dict[int, Outage] = {}
         self._next_id = 1
 
@@ -64,18 +94,22 @@ class CapacitySchedule:
         has conflicting bookings in the window (drain jobs first, or pick a
         window the planners show as free).
         """
-        subtree = [vertex] + list(self.graph.descendants(vertex))
         records: List[Tuple[object, int]] = []
         try:
-            for v in subtree:
-                if v.size:
+            for v in [vertex, *self.graph.descendants(vertex)]:
+                pool = v.plans.total
+                if pool:
                     records.append(
-                        (v.plans, v.plans.add_span(start, duration, v.size))
+                        (v.plans, v.plans.add_span(start, duration, pool))
                     )
                 records.append(
                     (v.xplans, v.xplans.add_span(start, duration, X_LIMIT))
                 )
-            self._book_filters(vertex, subtree, start, duration, records)
+            for uniq_id, counts in outage_charges(self.graph, vertex).items():
+                filters = self.graph.vertex(uniq_id).prune_filters
+                records.append(
+                    (filters, filters.add_span(start, duration, counts))
+                )
         except BaseException:
             # BaseException on purpose: rollback must also run when the
             # failure is a SimulatedCrash (which bypasses Exception so that
@@ -95,34 +129,6 @@ class CapacitySchedule:
         self._next_id += 1
         self.outages[outage.outage_id] = outage
         return outage
-
-    def _book_filters(
-        self,
-        vertex: ResourceVertex,
-        subtree: List[ResourceVertex],
-        start: int,
-        duration: int,
-        records: List[Tuple[object, int]],
-    ) -> None:
-        prune_types = set(self.graph.prune_types)
-        if not prune_types:
-            return
-        totals: Dict[str, int] = {}
-        for v in subtree:
-            if v.type in prune_types:
-                totals[v.type] = totals.get(v.type, 0) + v.size
-        if not totals:
-            return
-        targets = [vertex] + list(self.graph.ancestors(vertex))
-        for target in targets:
-            filters = target.prune_filters
-            if filters is None:
-                continue
-            tracked = {t: n for t, n in totals.items() if filters.tracks(t)}
-            if tracked:
-                records.append(
-                    (filters, filters.add_span(start, duration, tracked))
-                )
 
     def cancel(self, outage_id: int) -> Outage:
         """Cancel a planned outage, restoring the capacity."""

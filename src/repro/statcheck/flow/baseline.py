@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ...errors import FluxionError
 from ..core import Violation

@@ -23,10 +23,10 @@ journaling — each analysis documents its own choice).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set
 
-from .program import ClassInfo, FlowProgram, FunctionInfo, ModuleInfo
+from .program import ClassInfo, FlowProgram, FunctionInfo
 
 __all__ = ["CallSite", "CallGraph", "build_call_graph", "walk_own"]
 

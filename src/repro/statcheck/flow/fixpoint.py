@@ -20,7 +20,7 @@ Both terminate because states grow monotonically in finite lattices
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Set, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Iterable, Set, TypeVar
 
 __all__ = ["solve_cfg", "solve_summaries"]
 

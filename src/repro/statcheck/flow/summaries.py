@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .callgraph import CallGraph, CallSite, walk_own
+from .callgraph import CallGraph, walk_own
 from .fixpoint import solve_summaries
 from .program import FlowProgram, FunctionInfo
 

@@ -9,6 +9,7 @@ damage exactly.  Everything above it unit-tests the pieces the matrix
 composes.
 """
 
+import collections
 import json
 import os
 import random
@@ -33,6 +34,8 @@ from repro.recovery import (
     apply_corruption,
     corruption_targets,
     expected_span_table,
+    restore_simulator,
+    snapshot_state,
     state_diff,
     structure_checksum,
 )
@@ -44,14 +47,32 @@ from repro.resilience.chaos import (
     CampaignSpec,
     run_corruption_campaign,
 )
-from repro.sched import ClusterSimulator
+from repro.sched import CapacitySchedule, ClusterSimulator
 
 
-def busy_sim(**kwargs):
-    """A mid-flight simulator with live allocations on every level."""
+def book_outage(sim, name, start, duration):
+    """A planned outage on ``name``'s subtree (§5.5)."""
+    return CapacitySchedule(sim.graph).add_outage(
+        sim.graph.vertex_by_name(name), start, duration
+    )
+
+
+def outage_intact(outage):
+    """Every span the outage booked is still on its planner."""
+    return all(
+        planner.has_span(span_id) for planner, span_id in outage._span_records
+    )
+
+
+def busy_sim(outage=False, **kwargs):
+    """A mid-flight simulator with live allocations on every level; with
+    ``outage``, node3 is planned out over [0, 2000) before any job arrives,
+    so jobs route around it and node3 holds only the outage's spans."""
     sim = ClusterSimulator(
         tiny_cluster(), match_policy="first", queue="easy", **kwargs
     )
+    if outage:
+        book_outage(sim, "node3", 0, 2000)
     for i in range(8):
         sim.submit(simple_node_jobspec(cores=4, duration=500), at=i * 50)
     sim.run(until=300)
@@ -95,13 +116,16 @@ class TestChecksums:
 # ----------------------------------------------------------------------
 # windowed derivation: the scrubber derives expectations per window
 # ----------------------------------------------------------------------
-def seeded_busy_sim(seed, **kwargs):
+def seeded_busy_sim(seed, outage=False, **kwargs):
     """:func:`busy_sim` with seed-drawn shapes: shared and exclusive holds,
-    gpus and memory, one- and two-node jobs, running and reserved."""
+    gpus and memory, one- and two-node jobs, running and reserved; with
+    ``outage``, one seed-chosen node is planned out over [200, 600)."""
     rng = random.Random(seed)
     sim = ClusterSimulator(
         tiny_cluster(), match_policy="first", queue="easy", **kwargs
     )
+    if outage:
+        book_outage(sim, f"node{seed % 4}", 200, 400)
     for i in range(8):
         spec = simple_node_jobspec(
             cores=rng.randint(1, 4),
@@ -118,11 +142,32 @@ def seeded_busy_sim(seed, **kwargs):
 
 def reference_span_table(sim):
     """Independent oracle for :func:`expected_span_table` over the whole
-    graph: owners from ``planner_owner_index`` and an eager
-    ``sdfu_charges`` walk for every live allocation."""
+    graph: owners from ``planner_owner_index``, an eager ``sdfu_charges``
+    walk for every live allocation, and each planned outage's subtree
+    pool totals charged to every filter from its vertex up."""
     owners = planner_owner_index(sim.graph)
     by_name = {v.name: v for v in sim.graph.vertices()}
     table = {}
+    for schedule in sim.graph.capacity_schedules:
+        for outage in schedule.outages.values():
+            totals = collections.Counter()
+            for v in [outage.vertex, *sim.graph.descendants(outage.vertex)]:
+                totals[v.type] += v.plans.total
+            for planner, span_id in outage._span_records:
+                name, kind = owners[id(planner)]
+                vertex = by_name[name]
+                want = {"start": outage.start, "end": outage.end}
+                if kind == "plans":
+                    want["request"] = vertex.plans.total
+                elif kind == "xplans":
+                    want["request"] = X_LIMIT
+                else:
+                    want["counts"] = {
+                        rtype: totals[rtype]
+                        for rtype in sim.graph.prune_types
+                        if planner.tracks(rtype) and totals.get(rtype)
+                    }
+                table.setdefault((name, kind), {})[span_id] = want
     for alloc in sim.traverser.allocations.values():
         sel_by_name = {sel.vertex.name: sel for sel in alloc.selections}
         charges = sdfu_charges(
@@ -174,15 +219,17 @@ _window_cases = given(
     salt=st.integers(0, 2**16),
     lead=st.integers(0, 30),
     width=st.integers(1, 24),
+    outage=st.booleans(),
 )
 
 
 @_window_cases
 @settings(max_examples=40, deadline=None)
+@example(seed=1, kind="span", pick=0, salt=0, lead=0, width=24, outage=True)
 def test_window_table_is_full_table_restricted(
-    seed, kind, pick, salt, lead, width
+    seed, kind, pick, salt, lead, width, outage
 ):
-    sim = seeded_busy_sim(seed)
+    sim = seeded_busy_sim(seed, outage)
     damaged = _corrupt(sim, kind, pick, salt)
     names = sorted(v.name for v in sim.graph.vertices())
     anchor = names.index(damaged) if damaged else 0
@@ -195,12 +242,15 @@ def test_window_table_is_full_table_restricted(
     assert expected_span_table(sim, window) == restricted
 
 
-def _scrub_pass(seed, kind, pick, salt, lead, width, budget, full_table):
+def _scrub_pass(
+    seed, kind, pick, salt, lead, width, outage, budget, full_table
+):
     """One scrub pass on a freshly damaged sim; returns everything it
     decided plus the sim.  ``full_table`` hands the pass the reference
     whole-graph table instead of the windowed derivation."""
     sim = seeded_busy_sim(
         seed,
+        outage,
         integrity=IntegrityConfig(
             scrub_window=width, scrub_budget=budget, checkpoint_interval=1
         ),
@@ -232,18 +282,21 @@ def _scrub_pass(seed, kind, pick, salt, lead, width, budget, full_table):
 
 @_window_cases
 @settings(max_examples=30, deadline=None)
-@example(seed=0, kind="aggregate", pick=0, salt=7, lead=0, width=1)
-@example(seed=3, kind="span", pick=1, salt=11, lead=2, width=8)
-@example(seed=5, kind="structure", pick=40, salt=3, lead=5, width=16)
+@example(seed=0, kind="aggregate", pick=0, salt=7, lead=0, width=1,
+         outage=False)
+@example(seed=3, kind="span", pick=1, salt=11, lead=2, width=8, outage=False)
+@example(seed=5, kind="structure", pick=40, salt=3, lead=5, width=16,
+         outage=False)
+@example(seed=1, kind="point", pick=0, salt=5, lead=0, width=24, outage=True)
 def test_window_scrub_pass_matches_full_table_pass(
-    seed, kind, pick, salt, lead, width
+    seed, kind, pick, salt, lead, width, outage
 ):
     budget = (None, 6, 40)[seed % 3]
     windowed = _scrub_pass(
-        seed, kind, pick, salt, lead, width, budget, full_table=False
+        seed, kind, pick, salt, lead, width, outage, budget, full_table=False
     )
     full = _scrub_pass(
-        seed, kind, pick, salt, lead, width, budget, full_table=True
+        seed, kind, pick, salt, lead, width, outage, budget, full_table=True
     )
     assert windowed[:3] == full[:3]
     assert state_diff(windowed[3], full[3]) == []
@@ -307,26 +360,64 @@ def test_scrub_derivation_bound_holds_as_graph_grows(racks, monkeypatch):
 # ----------------------------------------------------------------------
 # detect -> quarantine -> repair -> converge, per corruption kind
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", CORRUPTION_KINDS)
-def test_detect_quarantine_repair(kind):
+@pytest.mark.parametrize(
+    "kind, outage",
+    [(kind, False) for kind in CORRUPTION_KINDS]
+    + [(kind, True) for kind in CORRUPTION_KINDS],
+    ids=[*CORRUPTION_KINDS, *(f"{kind}-outage" for kind in CORRUPTION_KINDS)],
+)
+def test_detect_quarantine_repair(kind, outage):
+    """With ``outage`` the damage lands on node3, which holds only the
+    planned outage's spans: repair must rebuild them to its window."""
     sim = busy_sim(
-        integrity=IntegrityConfig(scrub_window=None), audit=True
+        outage, integrity=IntegrityConfig(scrub_window=None), audit=True
     )
     targets = corruption_targets(sim, kind)
     assert targets, f"no {kind} targets on a saturated tiny cluster"
-    vertex = sim.graph.vertex_by_name(targets[0])
+    vertex = sim.graph.vertex_by_name("node3" if outage else targets[0])
+    assert vertex.name in targets
     assert sim.inject_corruption(kind, vertex, salt=11)
     counters = sim.integrity.counters
     assert counters["detected"] >= 1
     assert counters["repaired"] >= 1
     assert counters["unrepaired"] == 0
+    assert counters["jobs_requeued"] == 0
     assert not sim.integrity.quarantined
     assert sim.integrity.scan() == []
+    if outage:
+        (schedule,) = sim.graph.capacity_schedules
+        held = schedule.outages[1]
+        assert outage_intact(held)
+        assert [
+            (span.start, span.end) for span in vertex.plans.spans()
+        ] == [(held.start, held.end)]
     report = sim.run()
     assert sim.integrity.scan() == []
     InvariantAuditor(deep=True).check(sim)
     assert len(report.completed) == 8
     assert "integrity:" in report.summary()
+    if outage:
+        schedule.cancel(held.outage_id)
+        InvariantAuditor(deep=True).check(sim)
+
+
+def test_planned_outage_scrubs_and_audits_clean():
+    """A booked outage is part of the ground truth: a whole-graph scrub
+    pass flags nothing, the default auditor passes, and the outage's
+    spans survive for ``cancel()``."""
+    sim = ClusterSimulator(
+        tiny_cluster(2, 4), integrity=IntegrityConfig(scrub_window=None)
+    )
+    schedule = CapacitySchedule(sim.graph)
+    held = schedule.add_outage(sim.graph.vertex_by_name("rack0"), 100, 200)
+    InvariantAuditor().check(sim)
+    sim.integrity.scrub_cycle()
+    assert sim.integrity.counters["detected"] == 0
+    assert sim.integrity.counters["quarantined"] == 0
+    assert outage_intact(held)
+    schedule.cancel(held.outage_id)
+    InvariantAuditor().check(sim)
+    assert sim.integrity.scan() == []
 
 
 def test_detect_only_when_auto_repair_off():
@@ -441,6 +532,17 @@ class TestFsckCLI:
         assert fsck_main(["fsck", str(tmp_path), "--check"]) == 1
         assert fsck_main(["fsck", str(tmp_path), "--repair"]) == 0
         assert fsck_main(["fsck", str(tmp_path), "--check"]) == 0
+
+
+def test_snapshot_with_retired_check_orphans_restores():
+    """Snapshots written while ``check_orphans`` was an
+    IntegrityConfig option still carry it; restoring ignores it."""
+    sim = busy_sim(integrity=IntegrityConfig(scrub_window=4))
+    doc = json.loads(json.dumps(snapshot_state(sim)))
+    doc["integrity"]["config"]["check_orphans"] = False
+    restored = restore_simulator(doc)
+    assert restored.integrity.config == sim.integrity.config
+    assert state_diff(sim, restored) == []
 
 
 # ----------------------------------------------------------------------
